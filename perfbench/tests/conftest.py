@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the checkout's package importable."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "perfbench", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
