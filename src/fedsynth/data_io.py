@@ -188,14 +188,19 @@ def save_dataset(path: str, data: DiscreteDataset) -> None:
     np.savez(
         buf,
         rows=data.rows,
-        attributes=np.array(data.domain.attributes, dtype=object),
+        attributes=np.array(data.domain.attributes, dtype=np.str_),
         cardinalities=np.array(data.domain.cardinalities, dtype=np.int64),
     )
     atomic_write_bytes(path, buf.getvalue())
 
 
 def load_dataset(path: str) -> DiscreteDataset:
-    with np.load(path, allow_pickle=True) as archive:
+    """Load a dataset written by :func:`save_dataset`.
+
+    Pickled (object) arrays are refused with ``ValueError``, so loading an
+    untrusted file cannot run code.
+    """
+    with np.load(path, allow_pickle=False) as archive:
         domain = Domain.make(
             [str(a) for a in archive["attributes"]],
             [int(c) for c in archive["cardinalities"]],

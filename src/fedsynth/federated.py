@@ -118,11 +118,23 @@ def heterogeneity_proxy(
 def _client_answers(
     data: DiscreteDataset, partition: ClientPartition, queries: list[MarginalQuery]
 ) -> list[dict[tuple[int, ...], np.ndarray]]:
-    answers = []
-    for k in range(partition.n_clients):
-        local = partition.client_data(data, k)
-        answers.append({q.attrs: evaluate_marginal(local, q).counts for q in queries})
-    return answers
+    """Exact per-client counts of each query, as read-only integer rows.
+
+    One ``bincount`` over ``client * cells + cell`` per query gives a
+    (clients x cells) matrix; client ``k`` gets views of row ``k``.
+    """
+    n_clients = partition.n_clients
+    matrices = {}
+    for q in queries:
+        shape = data.domain.shape(q.attrs)
+        cells = np.ravel_multi_index(tuple(data.rows[:, a] for a in q.attrs), dims=shape)
+        flat = np.bincount(
+            partition.assignments * q.cardinality + cells, minlength=n_clients * q.cardinality
+        )
+        matrix = flat.astype(np.int32).reshape(n_clients, q.cardinality)
+        matrix.flags.writeable = False
+        matrices[q.attrs] = matrix
+    return [{attrs: m[k] for attrs, m in matrices.items()} for k in range(n_clients)]
 
 
 def _sample_participants(seed: int, round_index: int, n_clients: int, p: float) -> list[int]:
@@ -192,9 +204,7 @@ def run_distaim(
         sampled = _sample_participants(config.seed, t, partition.n_clients, config.sample_rate)
         fresh = [k for k in sampled if k not in participated]
         for k in fresh:
-            accumulator.add_client(
-                answers[k], int(sizes[k]), fork(config.seed, "share", t, k), ledger, k, t
-            )
+            accumulator.add_client(answers[k], int(sizes[k]), ledger, k, t)
         participated.update(fresh)
         if not sampled or accumulator.n_contributors == 0:
             rounds_log.append({"t": t, "phase": "skipped", "participants": sampled})

@@ -14,14 +14,18 @@ factors so the model always covers the whole domain.
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .domain import DiscreteDataset, Domain, MarginalQuery, MarginalTable
 
 CELL_BYTES = 8
+# log floor for warm-start logits: cells whose mass underflowed to zero
+_LOG_FLOOR = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -94,28 +98,78 @@ def component_bytes(domain: Domain, components: Sequence[tuple[int, ...]]) -> in
 
 
 def _softmax_mass(theta: np.ndarray, total: float) -> np.ndarray:
-    z = theta - theta.max()
-    p = np.exp(z)
+    """Mass-``total`` softmax of ``theta``; shifts ``theta`` in place so its
+    maximum is zero."""
+    theta -= theta.max()
+    p = np.exp(theta)
     p *= total / p.sum()
     return p
 
 
-class _CompMeasurement:
-    """A measurement re-indexed into one component's local axes."""
+class _FitPlan:
+    """How one component fit reduces marginals and assembles gradients.
 
-    def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], m: Measurement):
+    Measurements are ordered largest first.  Each takes as parent its
+    smallest measured strict superset in the component; a measurement
+    without one is a root and is reduced from, and broadcast back into, the
+    full table.  Every other marginal is summed from its parent's marginal,
+    and gradient residuals travel the same edges upwards, so the full table
+    is touched once per root.
+    """
+
+    def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], measurements: list[Measurement]):
         comp_pos = {a: i for i, a in enumerate(comp)}
-        keep = tuple(comp_pos[a] for a in m.query.attrs)
-        self.sum_axes = tuple(i for i in range(len(comp)) if i not in set(keep))
-        self.q_shape = tuple(shape[i] for i in keep)
-        self.y = m.noisy_counts.reshape(self.q_shape)
-        self.alpha = m.weight
+        merged = sorted(
+            _merge_same_query(measurements),
+            key=lambda m: (-len(m.query.attrs), -m.query.cardinality, m.query.attrs),
+        )
+        full = list(range(len(comp)))
+        self.shape = shape
+        self.alphas = [m.weight for m in merged]
+        self.parents: list[int | None] = []
+        # einsum sublists (source axes, kept axes) of each reduction
+        self.reductions: list[tuple[list[int], list[int]] | None] = []
+        # shape of a residual broadcast into its parent's (or the full) axes
+        self.up_shapes: list[tuple[int, ...]] = []
+        self.ys: list[np.ndarray] = []
+        self.axes: list[list[int]] = []  # local axes each measurement keeps
+        for i, m in enumerate(merged):
+            keep = [comp_pos[a] for a in m.query.attrs]
+            supersets = [j for j in range(i) if set(keep) < set(self.axes[j])]
+            parent = min(supersets, key=lambda j: merged[j].query.cardinality) if supersets else None
+            source = full if parent is None else self.axes[parent]
+            self.parents.append(parent)
+            self.reductions.append(None if keep == source else (source, keep))
+            self.up_shapes.append(tuple(shape[a] if a in keep else 1 for a in source))
+            self.ys.append(m.noisy_counts.reshape(tuple(shape[a] for a in keep)))
+            self.axes.append(keep)
+        self.roots = [i for i, parent in enumerate(self.parents) if parent is None]
 
-    def marginal(self, p: np.ndarray) -> np.ndarray:
-        return p.sum(axis=self.sum_axes) if self.sum_axes else p
+    def marginals(self, p: np.ndarray) -> list[np.ndarray]:
+        """Every measured marginal of the full table ``p``, in plan order."""
+        out: list[np.ndarray] = []
+        for parent, reduction in zip(self.parents, self.reductions):
+            source = p if parent is None else out[parent]
+            out.append(source if reduction is None else np.einsum(source, *reduction))
+        return out
 
-    def expand(self, residual: np.ndarray) -> np.ndarray:
-        return np.expand_dims(residual, self.sum_axes) if self.sum_axes else residual
+    def gradient(self, residuals: list[np.ndarray]) -> np.ndarray:
+        """Sum of the residuals broadcast over the full table.
+
+        Adds each non-root residual into its parent's in place, smallest
+        first, so afterwards ``residuals[r]`` of a root ``r`` holds the
+        pushed-up sum of its subtree.
+        """
+        for i in reversed(range(len(residuals))):
+            parent = self.parents[i]
+            if parent is not None:
+                residuals[parent] += residuals[i].reshape(self.up_shapes[i])
+        first, *rest = self.roots
+        grad = np.empty(self.shape)
+        np.copyto(grad, residuals[first].reshape(self.up_shapes[first]))
+        for r in rest:
+            grad += residuals[r].reshape(self.up_shapes[r])
+        return grad
 
 
 def _merge_same_query(measurements: list[Measurement]) -> list[Measurement]:
@@ -150,22 +204,22 @@ def _fit_component(
     iterations: int,
     tolerance: float,
     init_logits: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    locals_ = [_CompMeasurement(comp, shape, m) for m in _merge_same_query(measurements)]
-    theta = np.zeros(shape) if init_logits is None else init_logits.astype(np.float64).copy()
+) -> tuple[np.ndarray, list[float]]:
+    plan = _FitPlan(comp, shape, measurements)
+    theta = np.zeros(shape) if init_logits is None else init_logits.astype(np.float64)
     p = _softmax_mass(theta, total)
 
-    def objective(margins: list[np.ndarray]) -> float:
-        return float(sum(lm.alpha * np.square(mg - lm.y).sum() for lm, mg in zip(locals_, margins)))
+    def objective(margins: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        diffs = [mg - y for mg, y in zip(margins, plan.ys)]
+        return float(sum(a * np.vdot(d, d) for a, d in zip(plan.alphas, diffs))), diffs
 
-    margins = [lm.marginal(p) for lm in locals_]
-    obj = objective(margins)
+    margins = plan.marginals(p)
+    obj, diffs = objective(margins)
     trace = [obj]
-    step = 2.0 / sum(lm.alpha for lm in locals_)
+    step = 2.0 / sum(plan.alphas)
     for _ in range(iterations):
-        grad = np.zeros(shape)
-        for lm, mg in zip(locals_, margins):
-            grad += (2.0 * lm.alpha) * lm.expand(mg - lm.y)
+        residuals = [(2.0 * a) * d for a, d in zip(plan.alphas, diffs)]
+        grad = plan.gradient(residuals)
         # backtracking line search with Armijo sufficient decrease; a clean
         # first-try acceptance lets the step regrow next iteration
         accepted = False
@@ -173,9 +227,12 @@ def _fit_component(
         for _ in range(80):
             theta_new = theta - step * grad
             p_new = _softmax_mass(theta_new, total)
-            margins_new = [lm.marginal(p_new) for lm in locals_]
-            obj_new = objective(margins_new)
-            predicted = float(np.sum(grad * (p - p_new)))
+            margins_new = plan.marginals(p_new)
+            obj_new, diffs_new = objective(margins_new)
+            # <grad, p - p_new>, evaluated on the roots' marginals
+            predicted = float(
+                sum(np.vdot(residuals[r], margins[r] - margins_new[r]) for r in plan.roots)
+            )
             if obj_new <= obj and obj - obj_new >= 0.5 * predicted:
                 accepted = True
                 break
@@ -186,12 +243,11 @@ def _fit_component(
         if first_try:
             step *= 2.0
         decrease = obj - obj_new
-        theta = theta_new - theta_new.max()
-        p, margins, obj = p_new, margins_new, obj_new
+        theta, p, margins, obj, diffs = theta_new, p_new, margins_new, obj_new, diffs_new
         trace.append(obj)
         if decrease <= tolerance * max(trace[-2], 1e-300):
             break
-    return theta, p, trace
+    return p, trace
 
 
 class ModelState:
@@ -203,7 +259,6 @@ class ModelState:
         total: float,
         measured_components: Sequence[tuple[int, ...]],
         tables: dict[tuple[int, ...], np.ndarray],
-        logits: dict[tuple[int, ...], np.ndarray],
         meta: dict | None = None,
     ):
         self.domain = domain
@@ -221,12 +276,16 @@ class ModelState:
             if comp not in self.tables:
                 size = domain.size(comp)
                 self.tables[comp] = np.full(domain.shape(comp), self.total / size)
-        self.logits = dict(logits)
         self.meta = meta or {}
+
+    @property
+    def logits(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Logits of each measured component, derived from its table on access."""
+        return _TableLogits(self)
 
     @classmethod
     def uniform(cls, domain: Domain, total: float = 1.0) -> "ModelState":
-        return cls(domain, total, [], {}, {})
+        return cls(domain, total, [], {})
 
     def marginal_counts(self, query: MarginalQuery) -> np.ndarray:
         """Counts for a query: exact within a component, product across them."""
@@ -288,6 +347,41 @@ class ModelState:
         return component_bytes(self.domain, merged_components(self.measured_components, extra))
 
 
+class _TableLogits(Mapping):
+    """Read-only view: ``log(table)`` per measured component.
+
+    Softmax is shift-invariant, so these seed a fit exactly like the logits
+    the table was fitted from.
+    """
+
+    def __init__(self, model: ModelState):
+        self._model = model
+
+    def __getitem__(self, comp: tuple[int, ...]) -> np.ndarray:
+        if comp not in self._model.measured_components:
+            raise KeyError(comp)
+        return np.log(np.maximum(self._model.tables[comp], _LOG_FLOOR))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._model.measured_components)
+
+    def __len__(self) -> int:
+        return len(self._model.measured_components)
+
+    def __contains__(self, comp) -> bool:
+        return comp in self._model.measured_components
+
+
+def _signature(iterations: int, tolerance: float, local: Sequence[Measurement]) -> bytes:
+    """Exact digest of a component's fit inputs; equal digests mean the
+    component can be carried over from a warm start unchanged."""
+    h = hashlib.blake2b(repr((iterations, tolerance)).encode())
+    for m in local:
+        h.update(repr((m.round, m.query.attrs, m.query.cardinality, m.weight, m.sigma)).encode())
+        h.update(m.noisy_counts.tobytes())
+    return h.digest()
+
+
 def estimate_total(measurements: Sequence[Measurement]) -> float:
     """Weighted mean of the clipped-nonnegative measurement totals."""
     num = 0.0
@@ -309,9 +403,9 @@ def fit(
 ) -> ModelState:
     """Fit a ModelState to the measurement list (deterministic).
 
-    ``warm_start`` seeds component logits from a previous fit; merged
-    components start from the product of their parts.  Defaults start every
-    component uniform.
+    ``warm_start`` seeds each component from a previous fit's tables;
+    merged components start from the product of their parts.  Defaults start
+    every component uniform.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -329,41 +423,30 @@ def fit(
             raise ComponentTooLargeError(comp, domain.size(comp), max_cells)
 
     tables: dict[tuple[int, ...], np.ndarray] = {}
-    logits: dict[tuple[int, ...], np.ndarray] = {}
     traces: dict[tuple[int, ...], list[float]] = {}
-    signatures: dict[tuple[int, ...], int] = {}
+    signatures: dict[tuple[int, ...], bytes] = {}
     prev_sigs = warm_start.meta.get("comp_signatures", {}) if warm_start is not None else {}
     for comp in comps:
         shape = domain.shape(comp)
         local = [m for m in measurements if set(m.query.attrs) <= set(comp)]
-        sig = hash(
-            (iterations, tolerance)
-            + tuple(
-                (m.round, m.query.attrs, m.weight, m.sigma, m.noisy_counts.tobytes())
-                for m in local
-            )
-        )
+        sig = _signature(iterations, tolerance, local)
         signatures[comp] = sig
         if warm_start is not None and prev_sigs.get(comp) == sig and comp in warm_start.logits:
             # measurement set and fit settings unchanged: carry the component
             # over, rescaled to the new total mass
             tables[comp] = warm_start.tables[comp] * (total / warm_start.total)
-            logits[comp] = warm_start.logits[comp]
             traces[comp] = warm_start.meta["objective_traces"][comp][-1:]
             continue
         init = _warm_logits(comp, shape, warm_start) if warm_start is not None else None
-        theta, p, trace = _fit_component(
+        tables[comp], traces[comp] = _fit_component(
             comp, shape, local, total, iterations, tolerance, init
         )
-        tables[comp] = p
-        logits[comp] = theta
-        traces[comp] = trace
     meta = {
         "objective_traces": traces,
         "n_measurements": len(measurements),
         "comp_signatures": signatures,
     }
-    return ModelState(domain, total, comps, tables, logits, meta)
+    return ModelState(domain, total, comps, tables, meta)
 
 
 def save_model(path: str, model: ModelState) -> None:
@@ -401,7 +484,6 @@ def load_model(path: str) -> ModelState:
             header["total"],
             [tuple(c) for c in header["measured_components"]],
             tables,
-            logits={},
         )
 
 
@@ -411,17 +493,15 @@ def _warm_logits(
     """Initial logits for a component from an earlier model.
 
     Any previous measured component fully inside the new one contributes its
-    logits expanded over the missing axes, which initializes the merged
+    logits broadcast over the missing axes, which initializes the merged
     component at the product of its parts.
     """
-    theta = np.zeros(shape)
-    found = False
-    comp_pos = {a: i for i, a in enumerate(comp)}
-    for old, old_theta in previous.logits.items():
+    logits = previous.logits
+    theta = None
+    for old in logits:
         if not set(old) <= set(comp):
             continue
-        keep = tuple(comp_pos[a] for a in old)
-        expand = tuple(i for i in range(len(comp)) if i not in set(keep))
-        theta += np.expand_dims(old_theta, expand) if expand else old_theta
-        found = True
-    return theta if found else None
+        if theta is None:
+            theta = np.zeros(shape)
+        theta += logits[old].reshape(tuple(n if a in old else 1 for a, n in zip(comp, shape)))
+    return theta

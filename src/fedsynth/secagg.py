@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,24 @@ DEFAULT_PARTIES = 3
 SERVER = -1
 
 
-@dataclass
-class CommsLedger:
-    """Per-client bytes sent/received by round and protocol."""
+_LEDGER_FIELDS = ["client", "round", "bytes_sent", "bytes_received", "protocol"]
 
-    entries: list[dict] = field(default_factory=list)
+
+class CommsLedger:
+    """Per-client bytes sent/received by round and protocol.
+
+    Charges are kept as integer columns, with each protocol stored as an
+    index into a list of names.
+    """
+
+    def __init__(self):
+        self.clients = array("q")
+        self.rounds = array("q")
+        self.bytes_sent = array("q")
+        self.bytes_received = array("q")
+        self.protocol_ids = array("q")
+        self.protocols: list[str] = []
+        self._protocol_index: dict[str, int] = {}
 
     def charge(
         self,
@@ -37,25 +51,35 @@ class CommsLedger:
     ) -> None:
         if bytes_sent < 0 or bytes_received < 0:
             raise ValueError("byte counts must be non-negative")
-        self.entries.append(
-            {
-                "client": int(client),
-                "round": int(round_index),
-                "bytes_sent": int(bytes_sent),
-                "bytes_received": int(bytes_received),
-                "protocol": protocol,
-            }
-        )
+        pid = self._protocol_index.get(protocol)
+        if pid is None:
+            pid = self._protocol_index[protocol] = len(self.protocols)
+            self.protocols.append(protocol)
+        self.clients.append(int(client))
+        self.rounds.append(int(round_index))
+        self.bytes_sent.append(int(bytes_sent))
+        self.bytes_received.append(int(bytes_received))
+        self.protocol_ids.append(pid)
+
+    def _rows(self):
+        names = self.protocols
+        for client, rnd, sent, received, pid in zip(
+            self.clients, self.rounds, self.bytes_sent, self.bytes_received, self.protocol_ids
+        ):
+            yield client, rnd, sent, received, names[pid]
+
+    @property
+    def entries(self) -> list[dict]:
+        """One dict per charge, built on demand."""
+        return [dict(zip(_LEDGER_FIELDS, row)) for row in self._rows()]
 
     def client_totals(self) -> dict[int, int]:
         """Total traffic (sent + received) per client, server excluded."""
         totals: dict[int, int] = {}
-        for e in self.entries:
-            if e["client"] == SERVER:
+        for client, sent, received in zip(self.clients, self.bytes_sent, self.bytes_received):
+            if client == SERVER:
                 continue
-            totals[e["client"]] = (
-                totals.get(e["client"], 0) + e["bytes_sent"] + e["bytes_received"]
-            )
+            totals[client] = totals.get(client, 0) + sent + received
         return totals
 
     def total_client_bytes(self) -> int:
@@ -63,12 +87,9 @@ class CommsLedger:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["client", "round", "bytes_sent", "bytes_received", "protocol"]
-        )
-        writer.writeheader()
-        for e in self.entries:
-            writer.writerow(e)
+        writer = csv.writer(buf)
+        writer.writerow(_LEDGER_FIELDS)
+        writer.writerows(self._rows())
         return buf.getvalue()
 
 
@@ -88,6 +109,8 @@ class ShareVector:
 
 def _encode(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts)
+    if counts.dtype.kind in "iu":
+        return counts.astype(np.int64).view(np.uint64)
     as_int = np.rint(counts).astype(np.int64)
     if not np.allclose(counts, as_int):
         raise ValueError("secret sharing requires integer counts")
@@ -155,10 +178,12 @@ def aggregate(share_groups: list[list[ShareVector]]) -> np.ndarray:
 
 
 class ShareAccumulator:
-    """Server-side running share sums over a fixed query set (one entry per
-    party), as used by protocols that pool contributions across rounds."""
+    """Server-side running sums of clients' ring-encoded answers over a fixed
+    query set, as used by protocols that pool contributions across rounds."""
 
     def __init__(self, query_keys: list[tuple[int, ...]], parties: int = DEFAULT_PARTIES):
+        if parties < 2:
+            raise ValueError("need at least two parties")
         self.parties = parties
         self.sums: dict[tuple[int, ...], np.ndarray | None] = {
             tuple(k): None for k in query_keys
@@ -170,30 +195,30 @@ class ShareAccumulator:
         self,
         answers: dict[tuple[int, ...], np.ndarray],
         client_size: int,
-        rng: np.random.Generator,
         ledger: CommsLedger | None = None,
         client: int = 0,
         round_index: int = 0,
         protocol: str = "distaim",
     ) -> None:
+        """Pool one client's answers.
+
+        The sum of a client's fresh shares over all parties is its encoded
+        answer, so that is what is accumulated; the ledger is charged for
+        every share the client sends, as :func:`share` charges it.
+        """
         for key in self.sums:
-            shares = share(
-                answers[key],
-                key,
-                rng,
-                parties=self.parties,
-                ledger=ledger,
-                client=client,
-                round_index=round_index,
-                protocol=protocol,
-            )
-            combined = np.zeros_like(shares[0].values)
-            for s in shares:
-                combined = combined + s.values
+            encoded = _encode(answers[key])
+            if ledger is not None:
+                ledger.charge(
+                    client,
+                    round_index,
+                    bytes_sent=encoded.size * SHARE_BYTES * self.parties,
+                    protocol=protocol,
+                )
             if self.sums[key] is None:
-                self.sums[key] = combined
+                self.sums[key] = encoded
             else:
-                self.sums[key] = self.sums[key] + combined
+                self.sums[key] += encoded
         self.mass += client_size
         self.n_contributors += 1
 

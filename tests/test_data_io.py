@@ -89,3 +89,15 @@ def test_partition_file_roundtrip(tmp_path):
     path = str(tmp_path / "part.txt")
     save_partition(path, [0, 2, 1, 1])
     np.testing.assert_array_equal(load_partition(path), [0, 2, 1, 1])
+
+
+def test_dataset_npz_refuses_pickled_arrays(tmp_path):
+    path = str(tmp_path / "evil.npz")
+    np.savez(
+        path,
+        rows=np.zeros((2, 1), dtype=np.int64),
+        attributes=np.array(["a"], dtype=object),
+        cardinalities=np.array([2], dtype=np.int64),
+    )
+    with pytest.raises(ValueError):
+        load_dataset(path)

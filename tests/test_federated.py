@@ -14,12 +14,19 @@ from fedsynth.domain import (
 )
 from fedsynth.federated import (
     FedConfig,
+    _client_answers,
     heterogeneity_proxy,
     oracle_heterogeneity,
     run_distaim,
     run_flaim,
 )
-from fedsynth.partition import ClientPartition, partition_cluster_skew, partition_iid, synthfs
+from fedsynth.partition import (
+    ClientPartition,
+    partition_cluster_skew,
+    partition_iid,
+    partition_label_skew,
+    synthfs,
+)
 from fedsynth.privacy import exponential_probabilities, gaussian_cost
 from fedsynth.rng import fork
 from fedsynth.secagg import SHARE_BYTES
@@ -31,6 +38,30 @@ def fed_problem():
     result = synthfs(n_clients=12, rows_per_client=90, seed=1, n_features=4, beta=1.0, bins=5)
     workload = random_workload(result.data.domain, 2, 5, seed=2)
     return result.data, result.partition, result.holdout, workload
+
+
+# --- client answers -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["iid", "label_skew"])
+def test_client_answers_match_per_client_counts(kind):
+    dom = Domain.make(["a", "b", "c"], [3, 4, 2])
+    rows = fork(3, "answers").integers(0, [3, 4, 2], size=(60, 3))
+    data = DiscreteDataset(dom, rows)
+    # more clients than rows, so some clients hold nothing
+    if kind == "iid":
+        partition = partition_iid(data, 80, seed=4)
+    else:
+        partition = partition_label_skew(data, 80, "c", beta=0.3, seed=4)
+    assert np.any(partition.sizes() == 0)
+    queries = [MarginalQuery.make(dom, attrs) for attrs in [(0,), (1, 2), (0, 1, 2), (0, 2)]]
+    answers = _client_answers(data, partition, queries)
+    assert len(answers) == partition.n_clients
+    for k in range(partition.n_clients):
+        local = partition.client_data(data, k)
+        for q in queries:
+            np.testing.assert_array_equal(answers[k][q.attrs], evaluate_marginal(local, q).counts)
+            assert not answers[k][q.attrs].flags.writeable
 
 
 # --- distributed protocol -------------------------------------------------------------

@@ -328,3 +328,102 @@ def test_nll_floor_guards_unseen_cells():
     model = fit([m], dom, iterations=2000, tolerance=1e-16)
     holdout = DiscreteDataset(dom, np.array([[1]]))
     assert model.nll(holdout, floor=1e-9) <= -np.log(1e-9) + 1e-6
+
+
+# --- fit plan and warm starts --------------------------------------------------------
+
+
+def _nested_measurements(rng, dom, comp):
+    """Random measured sets inside ``comp``: a few tops, subsets of each, a
+    repeated query, and singletons for attributes no set covers."""
+    sets = set()
+    for _ in range(rng.integers(1, 4)):
+        top = tuple(sorted(rng.choice(comp, size=rng.integers(1, len(comp) + 1), replace=False)))
+        sets.add(top)
+        for _ in range(rng.integers(0, 4)):
+            sets.add(tuple(sorted(rng.choice(top, size=rng.integers(1, len(top) + 1), replace=False))))
+    covered = {a for s in sets for a in s}
+    sets.update((a,) for a in comp if a not in covered)
+    chosen = sorted(sets)
+    chosen.append(chosen[0])  # merged with its first copy
+    return [
+        meas(dom, attrs, rng.normal(10, 3, dom.size(attrs)), weight=float(rng.uniform(0.1, 2)))
+        for attrs in chosen
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_plan_matches_direct_reduction(seed):
+    from fedsynth.model import _FitPlan
+
+    rng = fork(seed, "plan")
+    n_attrs = int(rng.integers(2, 7))
+    dom = domain(list(rng.integers(2, 6, size=n_attrs + 2)))
+    comp = tuple(sorted(int(a) for a in rng.choice(n_attrs + 2, size=n_attrs, replace=False)))
+    shape = dom.shape(comp)
+    plan = _FitPlan(comp, shape, _nested_measurements(rng, dom, comp))
+    p = rng.uniform(0, 1, size=shape)
+
+    drops = [tuple(i for i in range(len(comp)) if i not in keep) for keep in plan.axes]
+    for marginal, drop in zip(plan.marginals(p), drops):
+        np.testing.assert_allclose(marginal, p.sum(axis=drop), rtol=1e-12, atol=0)
+
+    residuals = [rng.normal(0, 1, size=y.shape) for y in plan.ys]
+    want = np.zeros(shape)
+    for r, drop in zip(residuals, drops):
+        want = want + np.expand_dims(r, drop)
+    got = plan.gradient([r.copy() for r in residuals])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_warm_start_from_tables_matches_stored_logits():
+    from fedsynth.model import _fit_component
+
+    dom = domain([3, 2, 4, 2])
+    rng = fork(12, "warm")
+    total = 250.0
+    theta_a = rng.normal(0, 1, size=(3, 2))
+    theta_b = rng.normal(0, 1, size=(4, 2))
+
+    def table(theta):
+        p = np.exp(theta)
+        return p * (total / p.sum())
+
+    previous = ModelState(dom, total, [(0, 1), (2, 3)], {(0, 1): table(theta_a), (2, 3): table(theta_b)})
+    measurements = [
+        meas(dom, [0, 1], rng.uniform(5, 30, 6)),
+        meas(dom, [2, 3], rng.uniform(5, 30, 8)),
+        meas(dom, [1, 2], rng.uniform(5, 30, 8)),
+    ]
+    # 20 iterations stay clear of the flat optimum, where rounding alone
+    # decides when the line search gives up
+    model = fit(measurements, dom, iterations=20, tolerance=0.0, total=total, warm_start=previous)
+    init = theta_a[:, :, None, None] + theta_b[None, None, :, :]
+    want, _ = _fit_component((0, 1, 2, 3), (3, 2, 4, 2), measurements, total, 20, 0.0, init)
+    np.testing.assert_allclose(model.tables[(0, 1, 2, 3)], want, rtol=1e-10, atol=0)
+
+
+def test_logits_derived_from_tables():
+    dom = domain([3, 2, 2])
+    rng = fork(13, "logits")
+    model = fit([meas(dom, [0, 1], rng.uniform(1, 20, 6))], dom, iterations=100)
+    assert list(model.logits) == [(0, 1)]
+    assert (2,) not in model.logits
+    logits = model.logits[(0, 1)]
+    p = np.exp(logits - logits.max())
+    np.testing.assert_allclose(p / p.sum(), model.tables[(0, 1)] / model.total, rtol=1e-12)
+
+
+def test_warm_start_reuse_needs_exact_inputs(monkeypatch):
+    import fedsynth.model as model_module
+
+    dom = domain([3, 3])
+    first = meas(dom, [0, 1], np.arange(9.0) + 1.0)
+    second = meas(dom, [0, 1], np.arange(9.0)[::-1] + 1.0)
+    previous = fit([first], dom, iterations=200)
+    want = fit([second], dom, iterations=200, warm_start=previous)
+    # every Python hash collides: reuse must still compare the inputs exactly
+    monkeypatch.setattr(model_module, "hash", lambda value: 0, raising=False)
+    collided = fit([first], dom, iterations=200)
+    got = fit([second], dom, iterations=200, warm_start=collided)
+    np.testing.assert_array_equal(got.tables[(0, 1)], want.tables[(0, 1)])

@@ -69,9 +69,8 @@ def test_aggregate_rejects_mismatched_queries():
 
 def test_accumulator_running_sum():
     acc = ShareAccumulator([(0,), (1,)], parties=3)
-    rng = fork(7)
-    acc.add_client({(0,): np.array([1, 0]), (1,): np.array([5, 5])}, 10, rng)
-    acc.add_client({(0,): np.array([2, 2]), (1,): np.array([0, 1])}, 4, rng)
+    acc.add_client({(0,): np.array([1, 0]), (1,): np.array([5, 5])}, 10)
+    acc.add_client({(0,): np.array([2, 2]), (1,): np.array([0, 1])}, 4)
     np.testing.assert_array_equal(acc.current((0,)), [3.0, 2.0])
     np.testing.assert_array_equal(acc.current((1,)), [5.0, 6.0])
     assert acc.mass == 14
