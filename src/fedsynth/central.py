@@ -5,16 +5,22 @@ exponential mechanism, measured under Gaussian noise, and folded into the
 maximum-entropy model.  The loop either runs a fixed number of rounds on a
 constant schedule that consumes the budget exactly, or adapts the round
 count by budget annealing with a final-round adjustment.
+
+``Loop`` runs that control flow for AIM, DistAIM and FLAIM alike; a
+protocol supplies only its initialization and one round's selection and
+measurement.  ``AimLoop`` selects and measures on the server, over exact
+answers here and over pooled client answers in ``federated``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal
+from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal, normalized_counts
 from .model import Measurement, ModelState, fit
 from .privacy import (
     PrivacyAccountant,
@@ -65,31 +71,226 @@ def filter_by_size(
     rho_used: float,
     rho_total: float,
     max_model_size: int,
+    pool: list[int] | None = None,
 ) -> list[int]:
-    """Indices of queries whose hypothetical model stays within the budgeted
-    share of the size cap; falls back to the single smallest candidate so a
-    selection step always has one."""
+    """Indices of queries (of ``pool``, default all) whose hypothetical
+    model stays within the budgeted share of the size cap; falls back to the
+    single smallest candidate so a selection step always has one."""
     limit = (rho_used / rho_total) * max_model_size
-    sizes = [model.size_bytes(q) for q in workload.queries]
-    admitted = [i for i, s in enumerate(sizes) if s <= limit]
+    if pool is None:
+        pool = list(range(len(workload.queries)))
+    sizes = {i: model.size_bytes(workload.queries[i]) for i in pool}
+    admitted = [i for i in pool if sizes[i] <= limit]
     if not admitted:
-        admitted = [int(np.argmin(sizes))]
+        admitted = [min(pool, key=sizes.__getitem__)]
     return admitted
 
 
 def _aim_utilities(
-    exact: dict[tuple[int, ...], np.ndarray],
+    answer: Callable[[tuple[int, ...]], np.ndarray],
     model: ModelState,
     workload: Workload,
     candidates: list[int],
     sigma: float,
+    mass: float | None = None,
 ) -> np.ndarray:
+    """Weighted L1 gap between each candidate's answer and the model's,
+    less the expected noise; with ``mass``, gaps compare per-record
+    frequencies and the noise term is divided by the mass."""
     scores = np.empty(len(candidates))
     for j, i in enumerate(candidates):
         q = workload.queries[i]
-        gap = float(np.abs(exact[q.attrs] - model.marginal_counts(q)).sum())
-        scores[j] = workload.weights[i] * (gap - ROOT_2_OVER_PI * sigma * q.cardinality)
+        counts, fitted = answer(q.attrs), model.marginal_counts(q)
+        penalty = ROOT_2_OVER_PI * sigma * q.cardinality
+        if mass is not None:
+            counts, fitted = normalized_counts(counts), normalized_counts(fitted)
+            penalty /= max(mass, 1.0)
+        scores[j] = workload.weights[i] * (float(np.abs(counts - fitted).sum()) - penalty)
     return scores
+
+
+class Loop:
+    """The select-measure-estimate loop shared by AIM, DistAIM and FLAIM.
+
+    The loop owns the noise schedule, the stopping rule, the warm-started
+    fit after each round, the annealing check, the final-round budget
+    adjustment, the round-log fields every protocol writes and the final
+    fit.  A protocol supplies ``initialize`` (its first measurements and
+    model) and ``step`` (one round's selections and measurements, returning
+    the round's own log fields and the queries it measured, or ``None`` when
+    nobody was sampled).  A fixed schedule budgets for ``n_init`` one-way
+    measurements and ``local_rounds`` selections a round; ``cap`` bounds the
+    attempted rounds.
+    """
+
+    retries_empty = False  # whether a round nobody joined is retried instead of counted
+    gauss_per_round = exp_per_round = 1
+
+    def __init__(self, data: DiscreteDataset, completed: Workload, config: AimConfig, n_init: int,
+                 cap: float, local_rounds: int = 1, mode: str = "naive"):
+        self.data = data
+        self.domain = data.domain
+        self.completed = completed
+        self.config = config
+        self.cap = cap
+        self.accountant = PrivacyAccountant.from_eps_delta(config.epsilon, config.delta)
+        self.rho = self.accountant.rho_total
+        self.fixed = config.rounds is not None
+        if self.fixed:
+            self.schedule = flaim_schedule(config.rounds, local_rounds, n_init, self.rho, config.gauss_frac, mode)
+        else:
+            self.schedule, _ = central_schedule_init(len(self.domain), self.rho, config.anneal_rounds_factor)
+        self.sensitivity = completed.max_weight()
+        self.measurements: list[Measurement] = []
+        self.rounds: list[dict] = []
+        self.model: ModelState | None = None
+        self.t = 0  # attempted rounds; charges and log entries carry it
+        self.spent = 0  # rounds counted against ``config.rounds``
+        self.finishing = False
+
+    def initialize(self) -> ModelState:
+        raise NotImplementedError
+
+    def step(self) -> tuple[dict, list[MarginalQuery]] | None:
+        raise NotImplementedError
+
+    def refit(self, warm_start: ModelState | None = None, measurements: list[Measurement] | None = None,
+              total: float | None = None, final: bool = False) -> ModelState:
+        """Fit ``measurements`` (default: all so far) with the per-round or the final settings."""
+        cfg = self.config
+        return fit(
+            self.measurements if measurements is None else measurements, self.domain,
+            iterations=cfg.final_fit_iters if final else cfg.fit_iters,
+            tolerance=cfg.final_fit_tolerance if final else cfg.fit_tolerance,
+            total=total, warm_start=warm_start, max_cells=cfg.max_cells,
+        )
+
+    def measure(self, query: MarginalQuery, counts: np.ndarray, rng, scale: float = 1.0) -> Measurement:
+        """Gaussian measurement of ``counts`` at the round's sigma, times ``scale``."""
+        sigma = self.schedule.sigma
+        noisy = counts if self.config.noiseless else counts + rng.normal(0.0, sigma, query.cardinality)
+        return Measurement(self.t, query, noisy * scale, sigma, 1.0 / sigma)
+
+    def measure_init(self, one_ways: list[MarginalQuery], measure, total: float | None = None) -> ModelState:
+        """Measure every one-way with ``measure`` and fit the first model."""
+        sigma = self.schedule.sigma
+        self.accountant.charge(
+            len(one_ways) * gaussian_cost(sigma), "gaussian_init", self.t, sigma=sigma, count=len(one_ways)
+        )
+        self.measurements += [measure(q) for q in one_ways]
+        return self.refit(total=total)
+
+    def annealing_sigma(self) -> float:
+        """Noise scale the annealing check compares model movement against."""
+        return self.schedule.sigma
+
+    def schedule_final_round(self) -> None:
+        """Under annealing, switch to parameters that spend the rest of the
+        budget in one round once less than two rounds' worth remains."""
+        remaining = self.accountant.remaining
+        counts = (self.gauss_per_round, self.exp_per_round)
+        if not self.fixed and final_round_triggered(remaining, self.schedule, *counts):
+            self.schedule = final_round_adjust(remaining, self.schedule, *counts)
+            self.finishing = True
+
+    def stopped(self) -> bool:
+        if self.t >= self.cap:
+            return True
+        if self.fixed:
+            return self.spent >= self.config.rounds
+        return self.accountant.remaining <= 1e-15 * self.rho
+
+    def run(self) -> ModelState:
+        """Run every round and return the final fit."""
+        self.model = self.initialize()
+        if self.measurements:  # a uniform start measured nothing to schedule from
+            self.schedule_final_round()
+        while not self.stopped():
+            self.t += 1
+            stepped = self.step()
+            if stepped is None:
+                self.rounds.append({"t": self.t, "phase": "skipped", "participants": []})
+                self.spent += not self.retries_empty
+                continue
+            fields, measured = stepped
+            annealing = not self.fixed and not self.finishing
+            previous = [self.model.marginal_counts(q) for q in measured] if annealing else []
+            self.model = self.refit(self.model)
+            self.spent += 1
+            entry = {"t": self.t, **fields, "sigma": self.schedule.sigma, "eps": self.schedule.eps,
+                     "rho_used": self.accountant.rho_used, "final": self.finishing}
+            self.rounds.append(entry)
+            if self.finishing:
+                break
+            if not annealing:
+                continue
+            sigma = self.annealing_sigma()
+            if any(
+                annealing_condition(
+                    float(np.abs(self.model.marginal_counts(q) - before).sum()), sigma, q.cardinality
+                )
+                for q, before in zip(measured, previous)
+            ):
+                self.schedule = anneal_step(self.schedule, True)
+                entry["annealed"] = True
+            self.schedule_final_round()
+        self.model = self.refit(self.model, final=True)
+        return self.model
+
+
+class AimLoop(Loop):
+    """Selection and measurement run by the server on answers it holds.
+
+    AIM holds the exact answers and scores raw counts.  DistAIM subclasses
+    this with pooled secret-shared answers and, when scores are normalized,
+    sets ``mass`` to the pooled record count.
+    """
+
+    mass: float | None = None
+
+    def answer(self, attrs: tuple[int, ...]) -> np.ndarray:
+        return self.exact[attrs]
+
+    @property
+    def rescale(self) -> float:
+        """Factor from pooled counts to the population's; 1 for raw scores."""
+        return 1.0 if self.mass is None else self.data.n_records / max(self.mass, 1.0)
+
+    def annealing_sigma(self) -> float:
+        return self.schedule.sigma * self.rescale
+
+    def initialize(self) -> ModelState:
+        data, rng = self.data, fork(self.config.seed, "init")
+        self.exact = {q.attrs: evaluate_marginal(data, q).counts for q in self.completed.queries}
+        one_ways = [MarginalQuery.make(self.domain, (a,)) for a in range(len(self.domain))]
+        model = self.measure_init(one_ways, lambda q: self.measure(q, evaluate_marginal(data, q).counts, rng))
+        self.rounds.append(
+            {"t": 0, "phase": "init", "sigma": self.schedule.sigma, "eps": self.schedule.eps,
+             "rho_used": self.accountant.rho_used}
+        )
+        return model
+
+    def select_and_measure(self) -> tuple[MarginalQuery, float]:
+        """Size filter, scores, exponential selection and Gaussian
+        measurement of one round; returns the chosen query and its score."""
+        cfg, schedule, completed = self.config, self.schedule, self.completed
+        key = self.spent + 1  # rng path of the round, whatever was retried before it
+        candidates = filter_by_size(completed, self.model, self.accountant.rho_used, self.rho, cfg.max_model_size)
+        scores = _aim_utilities(self.answer, self.model, completed, candidates, schedule.sigma, self.mass)
+        self.accountant.charge(exponential_cost(schedule.eps), "exponential_select", self.t, eps=schedule.eps)
+        if cfg.noiseless:
+            pick = int(np.argmax(scores))
+        else:
+            pick = exponential_mechanism(scores, schedule.eps, self.sensitivity, fork(cfg.seed, "select", key))
+        chosen = completed.queries[candidates[pick]]
+        self.accountant.charge(gaussian_cost(schedule.sigma), "gaussian_measure", self.t, sigma=schedule.sigma)
+        counts = self.answer(chosen.attrs)
+        self.measurements.append(self.measure(chosen, counts, fork(cfg.seed, "measure", key), self.rescale))
+        return chosen, float(scores[pick])
+
+    def step(self) -> tuple[dict, list[MarginalQuery]]:
+        chosen, utility = self.select_and_measure()
+        return {"query": list(chosen.attrs), "utility": utility, "annealed": False}, [chosen]
 
 
 def run_aim(data: DiscreteDataset, workload: Workload, config: AimConfig) -> AimResult:
@@ -103,118 +304,7 @@ def run_aim(data: DiscreteDataset, workload: Workload, config: AimConfig) -> Aim
             f"max_model_size={config.max_model_size} bytes cannot hold the largest "
             f"one-way table ({largest_oneway} bytes)"
         )
-    accountant = PrivacyAccountant.from_eps_delta(config.epsilon, config.delta)
-    rho = accountant.rho_total
-    fixed = config.rounds is not None
-    if fixed:
-        schedule = flaim_schedule(config.rounds, 1, d, rho, config.gauss_frac, "naive")
-    else:
-        schedule, _ = central_schedule_init(d, rho, config.anneal_rounds_factor)
-
-    exact = {q.attrs: evaluate_marginal(data, q).counts for q in completed.queries}
-    sensitivity = completed.max_weight()
-    rounds_log: list[dict] = []
-
-    # initialization round: measure every attribute's one-way marginal
-    one_ways = [MarginalQuery.make(domain, (a,)) for a in range(d)]
-    init_rng = fork(config.seed, "init")
-    accountant.charge(
-        d * gaussian_cost(schedule.sigma), "gaussian_init", 0, sigma=schedule.sigma, count=d
-    )
-    measurements: list[Measurement] = []
-    for q in one_ways:
-        counts = evaluate_marginal(data, q).counts
-        noisy = counts if config.noiseless else counts + init_rng.normal(0.0, schedule.sigma, q.cardinality)
-        measurements.append(Measurement(0, q, noisy, schedule.sigma, 1.0 / schedule.sigma))
-    model = fit(
-        measurements,
-        domain,
-        iterations=config.fit_iters,
-        tolerance=config.fit_tolerance,
-        max_cells=config.max_cells,
-    )
-    rounds_log.append(
-        {"t": 0, "phase": "init", "sigma": schedule.sigma, "eps": schedule.eps,
-         "rho_used": accountant.rho_used}
-    )
-    finishing = False
-    if not fixed and final_round_triggered(accountant.remaining, schedule):
-        schedule = final_round_adjust(accountant.remaining, schedule)
-        finishing = True
-
-    t = 0
-    hard_cap = 200 * d + 200
-    while True:
-        if fixed:
-            if t >= config.rounds:
-                break
-        elif accountant.remaining <= 1e-15 * rho or t >= hard_cap:
-            break
-        t += 1
-
-        candidates = filter_by_size(
-            completed, model, accountant.rho_used, rho, config.max_model_size
-        )
-        scores = _aim_utilities(exact, model, completed, candidates, schedule.sigma)
-        accountant.charge(
-            exponential_cost(schedule.eps), "exponential_select", t, eps=schedule.eps
-        )
-        if config.noiseless:
-            pick = int(np.argmax(scores))
-        else:
-            pick = exponential_mechanism(scores, schedule.eps, sensitivity, fork(config.seed, "select", t))
-        chosen = completed.queries[candidates[pick]]
-
-        accountant.charge(
-            gaussian_cost(schedule.sigma), "gaussian_measure", t, sigma=schedule.sigma
-        )
-        counts = exact[chosen.attrs]
-        noisy = (
-            counts
-            if config.noiseless
-            else counts + fork(config.seed, "measure", t).normal(0.0, schedule.sigma, chosen.cardinality)
-        )
-        measurements.append(Measurement(t, chosen, noisy, schedule.sigma, 1.0 / schedule.sigma))
-        previous_answer = model.marginal_counts(chosen)
-        model = fit(
-            measurements,
-            domain,
-            iterations=config.fit_iters,
-            tolerance=config.fit_tolerance,
-            warm_start=model,
-            max_cells=config.max_cells,
-        )
-        change = float(np.abs(model.marginal_counts(chosen) - previous_answer).sum())
-
-        entry = {
-            "t": t,
-            "query": list(chosen.attrs),
-            "utility": float(scores[pick]),
-            "sigma": schedule.sigma,
-            "eps": schedule.eps,
-            "rho_used": accountant.rho_used,
-            "annealed": False,
-            "final": finishing,
-        }
-        if not fixed:
-            if finishing:
-                rounds_log.append(entry)
-                break
-            passed = annealing_condition(change, schedule.sigma, chosen.cardinality)
-            if passed:
-                schedule = anneal_step(schedule, True)
-                entry["annealed"] = True
-            if final_round_triggered(accountant.remaining, schedule):
-                schedule = final_round_adjust(accountant.remaining, schedule)
-                finishing = True
-        rounds_log.append(entry)
-
-    model = fit(
-        measurements,
-        domain,
-        iterations=config.final_fit_iters,
-        tolerance=config.final_fit_tolerance,
-        warm_start=model,
-        max_cells=config.max_cells,
-    )
-    return AimResult(model=model, accountant=accountant, rounds=rounds_log, completed_workload=completed)
+    cap = math.inf if config.rounds is not None else 200 * d + 200
+    loop = AimLoop(data, completed, config, n_init=d, cap=cap)
+    model = loop.run()
+    return AimResult(model=model, accountant=loop.accountant, rounds=loop.rounds, completed_workload=completed)

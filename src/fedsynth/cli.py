@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import secrets
 import sys
@@ -17,6 +18,7 @@ import sys
 from . import data_io, harness
 from .data_io import atomic_write_text, save_dataset, save_partition
 from .partition import partition_cluster_skew, partition_iid, partition_label_skew, synthfs
+from .privacy import implied_charge
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -216,9 +218,19 @@ def cmd_audit_ledger(args) -> int:
         replay = sum(charge["rho"] for charge in ledger["charges"])
         ok_sum = abs(replay - ledger["rho_used"]) <= 1e-9 * max(ledger["rho_used"], 1e-300)
         ok_cap = ledger["rho_used"] <= ledger["rho_total"] * (1 + 1e-12)
-        status = "ok" if (ok_sum and ok_cap) else "VIOLATION"
+        problems = []
+        for i, charge in enumerate(ledger["charges"]):
+            implied = implied_charge(charge["params"])
+            if implied is None:
+                problems.append(f"charge {i} ({charge['mechanism']}) records no mechanism parameter")
+            elif not math.isclose(charge["rho"], implied, rel_tol=1e-9, abs_tol=0.0):
+                problems.append(f"charge {i} ({charge['mechanism']}) is {charge['rho']!r}, "
+                                f"its parameters give {implied!r}")
+        status = "ok" if (ok_sum and ok_cap and not problems) else "VIOLATION"
         print(f"{os.path.basename(path)}: rho_used={ledger['rho_used']:.6g} "
               f"rho_total={ledger['rho_total']:.6g} replay={replay:.6g} [{status}]")
+        for problem in problems:
+            print(f"  {problem}")
         if status != "ok":
             bad += 1
     if bad:

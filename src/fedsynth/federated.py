@@ -1,5 +1,9 @@
 """Distributed and federated variants of the select-measure-estimate loop.
 
+Both run on ``central.Loop``, which owns the schedule, the fits, annealing
+and the round log; this module supplies how each protocol initializes and
+who selects and measures in a round.
+
 The distributed protocol pools secret-shared workload answers from sampled
 clients across rounds and runs selection and measurement server-side on
 the reconstructed aggregates.  The federated protocol moves selection and
@@ -20,26 +24,18 @@ loop is retained behind ``normalize_scores=False``.  Federated variants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .central import ROOT_2_OVER_PI, AimConfig, AimLoop, Loop, filter_by_size
 from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal, normalized_counts
-from .model import Measurement, ModelState, component_bytes, fit, merged_components
-from .partition import ClientPartition
-from .privacy import (
-    PrivacyAccountant,
-    annealing_condition,
-    anneal_step,
-    central_schedule_init,
-    exponential_cost,
-    exponential_mechanism,
-    final_round_adjust,
-    final_round_triggered,
-    flaim_schedule,
-    gaussian_cost,
-)
-from .central import ROOT_2_OVER_PI, filter_by_size
+from .model import Measurement, ModelState, component_bytes, merged_components
+from .model import fit  # noqa: F401  (kept as a module attribute; perfbench patches it here)
+from .partition import ClientPartition, client_counts, client_query_skew
+from .partition import client_query_skew as oracle_heterogeneity  # the oracle variant's exact skew
+from .privacy import PrivacyAccountant, exponential_cost, exponential_mechanism, gaussian_cost
 from .rng import fork
 from .secagg import CommsLedger, ShareAccumulator, secagg_round
 from .workload import Workload, complete_workload
@@ -48,26 +44,15 @@ VARIANTS = ("naive", "oracle", "private")
 
 
 @dataclass
-class FedConfig:
-    epsilon: float
-    delta: float = 1e-9
+class FedConfig(AimConfig):
     rounds: int | None = 10  # None selects budget annealing
+    anneal_rounds_factor: int = 8
     sample_rate: float = 0.1
     local_rounds: int = 1
     variant: str = "naive"  # federated only
-    gauss_frac: float = 0.9
-    max_model_size: int = 1 << 22
     parties: int = 3
-    fit_iters: int = 100
-    final_fit_iters: int = 1000
-    fit_tolerance: float = 1e-4
-    final_fit_tolerance: float = 1e-7
-    max_cells: int = 1 << 26
-    seed: int = 0
     normalize_scores: bool = True
-    anneal_rounds_factor: int = 8
     # ablation/test hooks
-    noiseless: bool = False
     force_zero_skew: bool = False
     plain_sensitivity: bool = False
     naive_weighting: bool = False
@@ -90,13 +75,6 @@ class FedResult:
     completed_workload: Workload | None = None
 
 
-def oracle_heterogeneity(client_counts: np.ndarray, global_counts: np.ndarray) -> float:
-    """Exact normalized L1 gap between client and global marginals."""
-    return float(
-        np.abs(normalized_counts(client_counts) - normalized_counts(global_counts)).sum()
-    )
-
-
 def heterogeneity_proxy(
     client_oneways: dict[int, np.ndarray],
     global_oneways: dict[int, np.ndarray],
@@ -109,50 +87,98 @@ def heterogeneity_proxy(
     for a in query.attrs:
         if a not in global_oneways:
             raise KeyError(f"no global one-way estimate for attribute {a}")
-        gaps.append(
-            float(np.abs(normalized_counts(client_oneways[a]) - normalized_counts(global_oneways[a])).sum())
-        )
+        gaps.append(client_query_skew(client_oneways[a], global_oneways[a]))
     return float(np.mean(gaps))
 
 
 def _client_answers(
     data: DiscreteDataset, partition: ClientPartition, queries: list[MarginalQuery]
 ) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """Exact per-client counts of each query, as read-only integer rows.
-
-    One ``bincount`` over ``client * cells + cell`` per query gives a
-    (clients x cells) matrix; client ``k`` gets views of row ``k``.
-    """
-    n_clients = partition.n_clients
+    """Exact per-client counts of each query, as read-only integer rows
+    (client ``k`` gets views of row ``k`` of one matrix per query)."""
     matrices = {}
     for q in queries:
-        shape = data.domain.shape(q.attrs)
-        cells = np.ravel_multi_index(tuple(data.rows[:, a] for a in q.attrs), dims=shape)
-        flat = np.bincount(
-            partition.assignments * q.cardinality + cells, minlength=n_clients * q.cardinality
-        )
-        matrix = flat.astype(np.int32).reshape(n_clients, q.cardinality)
+        matrix = client_counts(data, partition, q).astype(np.int32)
         matrix.flags.writeable = False
         matrices[q.attrs] = matrix
-    return [{attrs: m[k] for attrs, m in matrices.items()} for k in range(n_clients)]
+    return [{attrs: m[k] for attrs, m in matrices.items()} for k in range(partition.n_clients)]
 
 
-def _sample_participants(seed: int, round_index: int, n_clients: int, p: float) -> list[int]:
-    rng = fork(seed, "sample", round_index)
-    mask = rng.random(n_clients) < p
+def _sample_participants(config: FedConfig, partition: ClientPartition, *path) -> list[int]:
+    mask = fork(config.seed, *path).random(partition.n_clients) < config.sample_rate
     return [int(k) for k in np.nonzero(mask)[0]]
 
 
-def _normalized_model_answers(
-    model: ModelState, workload: Workload, candidates: list[int]
+def _model_answers(
+    model: ModelState, workload: Workload, candidates: list[int], normalize: bool
 ) -> dict[int, np.ndarray]:
-    return {
-        i: normalized_counts(model.marginal_counts(workload.queries[i])) for i in candidates
-    }
+    answers = {i: model.marginal_counts(workload.queries[i]) for i in candidates}
+    return {i: normalized_counts(a) for i, a in answers.items()} if normalize else answers
 
 
 # ---------------------------------------------------------------------------
 # distributed protocol
+
+
+class _DistAimLoop(AimLoop):
+    """Sampled clients contribute shares of every completed-workload answer
+    exactly once; selection and measurement run on the running aggregate.
+    A round nobody joins is retried, and the first round with contributors
+    initializes the model."""
+
+    retries_empty = True
+
+    def __init__(self, data, partition, completed, config):
+        self.one_ways = [q for q in completed.queries if len(q) == 1]
+        attempts = config.rounds or config.anneal_rounds_factor * len(data.domain)
+        super().__init__(data, completed, config, n_init=len(self.one_ways), cap=40 * attempts + 400)
+        self.partition = partition
+        self.answers = _client_answers(data, partition, list(completed.queries))
+        self.sizes = partition.sizes()
+        self.accumulator = ShareAccumulator([q.attrs for q in completed.queries], parties=config.parties)
+        self.ledger = CommsLedger()
+        self.participated: set[int] = set()
+
+    def answer(self, attrs: tuple[int, ...]) -> np.ndarray:
+        return self.accumulator.current(attrs)
+
+    def join(self) -> list[int]:
+        """Sample this attempt's clients; first-timers pool their answers."""
+        cfg = self.config
+        sampled = _sample_participants(cfg, self.partition, "sample", self.t)
+        for k in sampled:
+            if k not in self.participated:
+                self.accumulator.add_client(self.answers[k], int(self.sizes[k]), self.ledger, k, self.t)
+                self.participated.add(k)
+        if cfg.normalize_scores:
+            self.mass = self.accumulator.mass
+        return sampled
+
+    def initialize(self) -> ModelState:
+        while self.t < self.cap:
+            self.t += 1
+            sampled = self.join()
+            if sampled:
+                break
+            self.rounds.append({"t": self.t, "phase": "skipped", "participants": []})
+        else:
+            raise RuntimeError("no clients ever participated; cannot initialize the model")
+        rng = fork(self.config.seed, "init")
+        model = self.measure_init(self.one_ways, lambda q: self.measure(q, self.answer(q.attrs), rng, self.rescale))
+        self.rounds.append(
+            {"t": self.t, "phase": "init", "participants": sampled,
+             "sigma": self.schedule.sigma, "rho_used": self.accountant.rho_used}
+        )
+        return model
+
+    def step(self) -> tuple[dict, list[MarginalQuery]] | None:
+        sampled = self.join()
+        if not sampled:
+            return None
+        chosen, _ = self.select_and_measure()
+        fields = {"phase": "round", "participants": sampled, "query": list(chosen.attrs),
+                  "mass": self.accumulator.mass}
+        return fields, [chosen]
 
 
 def run_distaim(
@@ -161,151 +187,11 @@ def run_distaim(
     workload: Workload,
     config: FedConfig,
 ) -> FedResult:
-    """Distributed loop over pooled secret-shared workload answers.
-
-    Sampled clients contribute shares of every completed-workload answer
-    exactly once; selection and measurement run on the running aggregate.
-    """
-    domain = data.domain
-    completed = complete_workload(domain, workload)
-    keys = [q.attrs for q in completed.queries]
-    one_way_idx = [i for i, q in enumerate(completed.queries) if len(q) == 1]
-    d_init = len(one_way_idx)
-    n_global = data.n_records
-
-    accountant = PrivacyAccountant.from_eps_delta(config.epsilon, config.delta)
-    rho = accountant.rho_total
-    fixed = config.rounds is not None
-    if fixed:
-        schedule = flaim_schedule(config.rounds, 1, d_init, rho, config.gauss_frac, "naive")
-    else:
-        schedule, _ = central_schedule_init(len(domain), rho, config.anneal_rounds_factor)
-
-    answers = _client_answers(data, partition, list(completed.queries))
-    sizes = partition.sizes()
-    sensitivity = completed.max_weight()
-    accumulator = ShareAccumulator(keys, parties=config.parties)
-    ledger = CommsLedger()
-    participated: set[int] = set()
-    measurements: list[Measurement] = []
-    model: ModelState | None = None
-    rounds_log: list[dict] = []
-    finishing = False
-
-    executed = 0
-    t = 0
-    attempts_cap = 40 * (config.rounds or config.anneal_rounds_factor * len(domain)) + 400
-    while t < attempts_cap:
-        if fixed and executed >= config.rounds and model is not None:
-            break
-        if not fixed and model is not None and accountant.remaining <= 1e-15 * rho:
-            break
-        t += 1
-        sampled = _sample_participants(config.seed, t, partition.n_clients, config.sample_rate)
-        fresh = [k for k in sampled if k not in participated]
-        for k in fresh:
-            accumulator.add_client(answers[k], int(sizes[k]), ledger, k, t)
-        participated.update(fresh)
-        if not sampled or accumulator.n_contributors == 0:
-            rounds_log.append({"t": t, "phase": "skipped", "participants": sampled})
-            continue
-
-        mass = accumulator.mass
-        rescale = n_global / max(mass, 1.0)
-        if model is None:
-            # initialization: measure the completed workload's one-ways
-            accountant.charge(
-                d_init * gaussian_cost(schedule.sigma), "gaussian_init", t,
-                sigma=schedule.sigma, count=d_init,
-            )
-            init_rng = fork(config.seed, "init")
-            for i in one_way_idx:
-                q = completed.queries[i]
-                agg = accumulator.current(q.attrs)
-                noisy = agg if config.noiseless else agg + init_rng.normal(0.0, schedule.sigma, q.cardinality)
-                if config.normalize_scores:
-                    noisy = noisy * rescale
-                measurements.append(Measurement(t, q, noisy, schedule.sigma, 1.0 / schedule.sigma))
-            model = fit(
-                measurements, domain, iterations=config.fit_iters,
-                tolerance=config.fit_tolerance, max_cells=config.max_cells,
-            )
-            rounds_log.append(
-                {"t": t, "phase": "init", "participants": sampled,
-                 "sigma": schedule.sigma, "rho_used": accountant.rho_used}
-            )
-            if not fixed and final_round_triggered(accountant.remaining, schedule):
-                schedule = final_round_adjust(accountant.remaining, schedule)
-                finishing = True
-            continue
-
-        candidates = filter_by_size(
-            completed, model, accountant.rho_used, rho, config.max_model_size
-        )
-        scores = np.empty(len(candidates))
-        for j, i in enumerate(candidates):
-            q = completed.queries[i]
-            agg = accumulator.current(q.attrs)
-            if config.normalize_scores:
-                gap = float(
-                    np.abs(normalized_counts(agg) - normalized_counts(model.marginal_counts(q))).sum()
-                )
-                penalty = ROOT_2_OVER_PI * schedule.sigma * q.cardinality / max(mass, 1.0)
-            else:
-                gap = float(np.abs(agg - model.marginal_counts(q)).sum())
-                penalty = ROOT_2_OVER_PI * schedule.sigma * q.cardinality
-            scores[j] = completed.weights[i] * (gap - penalty)
-        round_key = executed + 1  # rng path independent of skipped/init attempts
-        accountant.charge(exponential_cost(schedule.eps), "exponential_select", t, eps=schedule.eps)
-        if config.noiseless:
-            pick = int(np.argmax(scores))
-        else:
-            pick = exponential_mechanism(
-                scores, schedule.eps, sensitivity, fork(config.seed, "select", round_key)
-            )
-        chosen = completed.queries[candidates[pick]]
-
-        accountant.charge(gaussian_cost(schedule.sigma), "gaussian_measure", t, sigma=schedule.sigma)
-        agg = accumulator.current(chosen.attrs)
-        noisy = (
-            agg
-            if config.noiseless
-            else agg
-            + fork(config.seed, "measure", round_key).normal(0.0, schedule.sigma, chosen.cardinality)
-        )
-        if config.normalize_scores:
-            noisy = noisy * rescale
-        measurements.append(Measurement(t, chosen, noisy, schedule.sigma, 1.0 / schedule.sigma))
-        previous_answer = model.marginal_counts(chosen)
-        model = fit(
-            measurements, domain, iterations=config.fit_iters,
-            tolerance=config.fit_tolerance, warm_start=model, max_cells=config.max_cells,
-        )
-        executed += 1
-        change = float(np.abs(model.marginal_counts(chosen) - previous_answer).sum())
-        rounds_log.append(
-            {"t": t, "phase": "round", "participants": sampled, "query": list(chosen.attrs),
-             "sigma": schedule.sigma, "eps": schedule.eps, "rho_used": accountant.rho_used,
-             "mass": mass, "final": finishing}
-        )
-        if not fixed:
-            if finishing:
-                break
-            effective_sigma = schedule.sigma * (rescale if config.normalize_scores else 1.0)
-            if annealing_condition(change, effective_sigma, chosen.cardinality):
-                schedule = anneal_step(schedule, True)
-                rounds_log[-1]["annealed"] = True
-            if final_round_triggered(accountant.remaining, schedule):
-                schedule = final_round_adjust(accountant.remaining, schedule)
-                finishing = True
-
-    if model is None:
-        raise RuntimeError("no clients ever participated; cannot initialize the model")
-    model = fit(
-        measurements, domain, iterations=config.final_fit_iters,
-        tolerance=config.final_fit_tolerance, warm_start=model, max_cells=config.max_cells,
-    )
-    return FedResult(model, accountant, ledger, rounds_log, completed)
+    """Distributed loop over pooled secret-shared workload answers."""
+    completed = complete_workload(data.domain, workload)
+    loop = _DistAimLoop(data, partition, completed, config)
+    model = loop.run()
+    return FedResult(model, loop.accountant, loop.ledger, loop.rounds, completed)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +222,194 @@ def _local_utilities(
     return scores
 
 
+class _FlaimLoop(Loop):
+    """Clients select (and, with several local rounds, measure) locally
+    against the broadcast model; the server admits their selections under
+    the size cap and measures each through secure aggregation.  A round
+    nobody joins is forfeited; the private variant starts from a uniform
+    model and refreshes every one-way each round."""
+
+    def __init__(self, data, partition, completed, config):
+        d = len(data.domain)
+        self.private = config.variant == "private"
+        s = config.local_rounds
+        cap = math.inf if config.rounds is not None else 40 * d + 400
+        super().__init__(data, completed, config, n_init=d, cap=cap, local_rounds=s,
+                         mode="private" if self.private else "naive")
+        self.gauss_per_round = s + d if self.private else s
+        self.exp_per_round = s
+        self.partition = partition
+        self.one_ways = [MarginalQuery.make(data.domain, (a,)) for a in range(d)]
+        known = {q.attrs for q in completed.queries}
+        all_queries = list(completed.queries) + [q for q in self.one_ways if q.attrs not in known]
+        self.answers = _client_answers(data, partition, all_queries)
+        self.sizes = partition.sizes()
+        self.global_answers = {q.attrs: evaluate_marginal(data, q).counts for q in all_queries}
+        if config.variant in ("oracle", "private") and not config.plain_sensitivity:
+            self.sensitivity *= 2.0
+        self.ledger = CommsLedger()
+        self.oneway_estimates: dict[int, np.ndarray] = {}  # private proxy cache
+        self.oracle_skew: dict[int, dict[int, float]] = {}  # static per client
+        self.by_attrs = {q.attrs: q for q in completed.queries}
+
+    def measure_aggregate(
+        self, query: MarginalQuery, contributors: list[int], tag, protocol: str
+    ) -> Measurement:
+        cfg, sigma, t = self.config, self.schedule.sigma, self.t
+        vectors = [self.answers[k][query.attrs] for k in contributors]
+        agg = secagg_round(
+            vectors, 0.0 if cfg.noiseless else sigma, fork(cfg.seed, "aggmeasure", t, *tag),
+            self.ledger, clients=contributors, round_index=t, protocol=protocol,
+        )
+        # contributor mass: the private variant self-estimates it from the
+        # noisy cells; the others may treat sizes as public.  It weights the
+        # measurement (except under naive weighting) and normalizes its scale.
+        weighting = "naive" if cfg.naive_weighting else cfg.variant
+        if weighting == "private":
+            size_est = max(float(agg.sum()), 1.0)
+        else:
+            size_est = float(sum(int(self.sizes[k]) for k in contributors))
+        weight = (1.0 if weighting == "naive" else size_est) / sigma
+        scaled = agg * (self.data.n_records / max(size_est, 1.0)) if cfg.normalize_scores else agg
+        return Measurement(t, query, scaled, sigma, weight)
+
+    def initialize(self) -> ModelState:
+        if self.private:
+            return ModelState.uniform(self.domain, total=float(self.data.n_records))
+        for attempt in range(1000):
+            participants = _sample_participants(self.config, self.partition, "sample-init", attempt)
+            if participants:
+                break
+        else:
+            raise RuntimeError("no clients ever sampled for initialization")
+        model = self.measure_init(
+            self.one_ways,
+            lambda q: self.measure_aggregate(q, participants, ("init", q.attrs[0]), "flaim-init"),
+            total=float(self.data.n_records),
+        )
+        self.rounds.append(
+            {"t": 0, "phase": "init", "participants": participants,
+             "sigma": self.schedule.sigma, "eps": self.schedule.eps, "rho_used": self.accountant.rho_used}
+        )
+        return model
+
+    def client_skew(self, k: int, candidates: list[int], model_oneways) -> dict[int, float]:
+        """Skew penalty of each candidate for client ``k``."""
+        client = self.answers[k]
+        if self.config.force_zero_skew:
+            return {}
+        if self.config.variant == "oracle":
+            cached = self.oracle_skew.get(k)
+            if cached is None:
+                cached = self.oracle_skew[k] = {
+                    i: oracle_heterogeneity(client[q.attrs], self.global_answers[q.attrs])
+                    for i, q in enumerate(self.completed.queries)
+                }
+            return {i: cached[i] for i in candidates}
+        if self.private:
+            reference = {a: self.oneway_estimates.get(a, model_oneways[a]) for a in model_oneways}
+            client_oneways = {a: client[(a,)] for a in model_oneways}
+            return {
+                i: heterogeneity_proxy(client_oneways, reference, self.completed.queries[i])
+                for i in candidates
+            }
+        return {}
+
+    def local_selections(
+        self, k: int, candidates: list[int], model_answers, skew, rho_used: float
+    ) -> list[MarginalQuery]:
+        """Client ``k``'s local rounds; each but the last measures its pick
+        with the client's own noise and refits a local model."""
+        cfg, sigma, completed = self.config, self.schedule.sigma, self.completed
+        client, size = self.answers[k], int(self.sizes[k])
+        local_measurements: list[Measurement] = []
+        local_model, local_answers = self.model, model_answers
+        chosen: list[MarginalQuery] = []
+        for l in range(cfg.local_rounds):
+            step_candidates = candidates
+            if l > 0:  # local measurements may already have grown the model
+                step_candidates = filter_by_size(
+                    completed, local_model, rho_used, self.rho, cfg.max_model_size, candidates
+                )
+            scores = _local_utilities(
+                client, local_answers, completed, step_candidates, sigma, size, skew,
+                cfg.normalize_scores,
+            )
+            if cfg.noiseless:
+                pick = int(np.argmax(scores))
+            else:
+                pick = exponential_mechanism(
+                    scores, self.schedule.eps, self.sensitivity, fork(cfg.seed, "select", self.t, k, l)
+                )
+            q = completed.queries[step_candidates[pick]]
+            chosen.append(q)
+            if l + 1 < cfg.local_rounds:
+                scale = self.data.n_records / max(size, 1) if cfg.normalize_scores else 1.0
+                rng = fork(cfg.seed, "localmeasure", self.t, k, l)
+                local_measurements.append(self.measure(q, client[q.attrs], rng, scale))
+                local_model = self.refit(
+                    local_model, self.measurements + local_measurements, float(self.data.n_records)
+                )
+                local_answers = _model_answers(local_model, completed, candidates, cfg.normalize_scores)
+        return chosen
+
+    def step(self) -> tuple[dict, list[MarginalQuery]] | None:
+        cfg, completed, model = self.config, self.completed, self.model
+        participants = _sample_participants(cfg, self.partition, "sample", self.t)
+        if not participants:
+            return None
+        rho_used = self.accountant.rho_used
+        limit = (rho_used / self.rho) * cfg.max_model_size
+        pool = [i for i, q in enumerate(completed.queries) if not (self.private and len(q) == 1)]
+        candidates = filter_by_size(completed, model, rho_used, self.rho, cfg.max_model_size, pool)
+        model_answers = _model_answers(model, completed, candidates, cfg.normalize_scores)
+        model_oneways = (
+            {a: model.marginal_counts(q) for a, q in enumerate(self.one_ways)} if self.private else {}
+        )
+        s, sigma, eps = cfg.local_rounds, self.schedule.sigma, self.schedule.eps
+        self.accountant.charge(s * exponential_cost(eps), "exponential_select", self.t, eps=eps, count=s)
+        self.accountant.charge(
+            self.gauss_per_round * gaussian_cost(sigma), "gaussian_measure", self.t,
+            sigma=sigma, count=self.gauss_per_round,
+        )
+
+        selected: dict[tuple[int, ...], list[int]] = {}
+        skew_log: dict[int, dict] = {}
+        for k in participants:
+            skew = self.client_skew(k, candidates, model_oneways)
+            skew_log[k] = {"mean_skew": float(np.mean(list(skew.values()))) if skew else 0.0}
+            for q in self.local_selections(k, candidates, model_answers, skew, rho_used):
+                selected.setdefault(q.attrs, []).append(k)
+
+        # server-side admission: each selection fit the size cap on its own,
+        # but chained merges across clients could not be foreseen locally, so
+        # queries are admitted in deterministic order against the same limit
+        admitted: list[tuple[int, ...]] = []
+        rejected: list[tuple[int, ...]] = []
+        current_comps = list(model.measured_components)
+        for attrs in sorted(selected):
+            merged = merged_components(current_comps, attrs)
+            if admitted and component_bytes(self.domain, merged) > max(limit, 0.0):
+                rejected.append(attrs)
+                continue
+            admitted.append(attrs)
+            current_comps = merged
+        for attrs in admitted:
+            contributors = sorted(set(selected[attrs]))
+            self.measurements.append(
+                self.measure_aggregate(self.by_attrs[attrs], contributors, ("sel",) + attrs, "flaim")
+            )
+        if self.private:
+            for a, q in enumerate(self.one_ways):
+                m = self.measure_aggregate(q, participants, ("oneway", a), "flaim-oneway")
+                self.measurements.append(m)
+                self.oneway_estimates[a] = normalized_counts(m.noisy_counts)
+        fields = {"phase": "round", "participants": participants,
+                  "selected": sorted(list(a) for a in admitted),
+                  "rejected": sorted(list(a) for a in rejected), "skews": skew_log}
+        return fields, [self.by_attrs[attrs] for attrs in admitted]
+
+
 def run_flaim(
     data: DiscreteDataset,
     partition: ClientPartition,
@@ -343,271 +417,7 @@ def run_flaim(
     config: FedConfig,
 ) -> FedResult:
     """Federated loop with client-local selection and measurement."""
-    domain = data.domain
-    d = len(domain)
-    variant = config.variant
-    completed = complete_workload(domain, workload)
-    one_ways = [MarginalQuery.make(domain, (a,)) for a in range(d)]
-    n_global = data.n_records
-
-    accountant = PrivacyAccountant.from_eps_delta(config.epsilon, config.delta)
-    rho = accountant.rho_total
-    fixed = config.rounds is not None
-    if fixed:
-        schedule = flaim_schedule(
-            config.rounds, config.local_rounds, d, rho, config.gauss_frac,
-            "private" if variant == "private" else "naive",
-        )
-    else:
-        schedule, _ = central_schedule_init(d, rho, config.anneal_rounds_factor)
-
-    all_queries = list(completed.queries) + [q for q in one_ways if q.attrs not in {c.attrs for c in completed.queries}]
-    answers = _client_answers(data, partition, all_queries)
-    sizes = partition.sizes()
-    global_answers = {q.attrs: evaluate_marginal(data, q).counts for q in all_queries}
-    base_sensitivity = completed.max_weight()
-    augmented = variant in ("oracle", "private") and not config.plain_sensitivity
-    sensitivity = (2.0 if augmented else 1.0) * base_sensitivity
-
-    ledger = CommsLedger()
-    measurements: list[Measurement] = []
-    rounds_log: list[dict] = []
-    oneway_estimates: dict[int, np.ndarray] = {}  # private proxy cache
-    oracle_skew_cache: dict[int, dict[int, float]] = {}  # static per client
-    s = config.local_rounds
-    gauss_per_round = s + d if variant == "private" else s
-    finishing = False
-
-    def measure_aggregate(
-        query: MarginalQuery, contributors: list[int], t: int, tag, protocol: str
-    ) -> Measurement:
-        vectors = [answers[k][query.attrs] for k in contributors]
-        sigma = 0.0 if config.noiseless else schedule.sigma
-        agg = secagg_round(
-            vectors, sigma, fork(config.seed, "aggmeasure", t, *tag), ledger,
-            clients=contributors, round_index=t, protocol=protocol,
-        )
-        true_size = float(sum(int(sizes[k]) for k in contributors))
-        noisy_size = max(float(agg.sum()), 1.0)
-        weighting = "naive" if config.naive_weighting else variant
-        if weighting == "oracle":
-            weight = true_size / schedule.sigma
-        elif weighting == "private":
-            weight = noisy_size / schedule.sigma
-        else:
-            weight = 1.0 / schedule.sigma
-        # mass normalization: the private variant self-estimates contributor
-        # mass from the noisy cells; the others may treat sizes as public
-        size_est = noisy_size if weighting == "private" else true_size
-        scaled = agg * (n_global / max(size_est, 1.0)) if config.normalize_scores else agg
-        return Measurement(t, query, scaled, schedule.sigma, weight)
-
-    # initialization round for variants that do not refresh one-ways each round
-    model: ModelState | None = None
-    if variant == "private":
-        model = ModelState.uniform(domain, total=float(n_global))
-    else:
-        participants: list[int] = []
-        for attempt in range(1000):
-            rng = fork(config.seed, "sample-init", attempt)
-            mask = rng.random(partition.n_clients) < config.sample_rate
-            participants = [int(k) for k in np.nonzero(mask)[0]]
-            if participants:
-                break
-        if not participants:
-            raise RuntimeError("no clients ever sampled for initialization")
-        accountant.charge(
-            d * gaussian_cost(schedule.sigma), "gaussian_init", 0, sigma=schedule.sigma, count=d
-        )
-        for q in one_ways:
-            measurements.append(measure_aggregate(q, participants, 0, ("init", q.attrs[0]), "flaim-init"))
-        model = fit(
-            measurements, domain, iterations=config.fit_iters,
-            tolerance=config.fit_tolerance, max_cells=config.max_cells, total=float(n_global),
-        )
-        rounds_log.append(
-            {"t": 0, "phase": "init", "participants": participants,
-             "sigma": schedule.sigma, "eps": schedule.eps, "rho_used": accountant.rho_used}
-        )
-        if not fixed and final_round_triggered(
-            accountant.remaining, schedule, gauss_per_round, s
-        ):
-            schedule = final_round_adjust(accountant.remaining, schedule, gauss_per_round, s)
-            finishing = True
-
-    t = 0
-    hard_cap = 40 * d + 400
-    while True:
-        if fixed:
-            if t >= config.rounds:
-                break
-        elif accountant.remaining <= 1e-15 * rho or t >= hard_cap:
-            break
-        t += 1
-        participants = _sample_participants(config.seed, t, partition.n_clients, config.sample_rate)
-        if not participants:
-            rounds_log.append({"t": t, "phase": "skipped", "participants": []})
-            continue
-
-        pool = [
-            i for i, q in enumerate(completed.queries)
-            if not (variant == "private" and len(q) == 1)
-        ]
-        limit = (accountant.rho_used / rho) * config.max_model_size
-        sizes_b = {i: model.size_bytes(completed.queries[i]) for i in pool}
-        candidates = [i for i in pool if sizes_b[i] <= limit]
-        if not candidates:
-            candidates = [min(pool, key=lambda i: sizes_b[i])]
-        model_answers = (
-            _normalized_model_answers(model, completed, candidates)
-            if config.normalize_scores
-            else {i: model.marginal_counts(completed.queries[i]) for i in candidates}
-        )
-        model_oneways = {a: model.marginal_counts(q) for a, q in enumerate(one_ways)}
-
-        accountant.charge(
-            s * exponential_cost(schedule.eps), "exponential_select", t, eps=schedule.eps, count=s
-        )
-        accountant.charge(
-            gauss_per_round * gaussian_cost(schedule.sigma), "gaussian_measure", t,
-            sigma=schedule.sigma, count=gauss_per_round,
-        )
-
-        selected: dict[tuple[int, ...], list[int]] = {}
-        skew_log: dict[int, dict] = {}
-        for k in participants:
-            client = answers[k]
-            skew: dict[int, float] = {}
-            if not config.force_zero_skew:
-                if variant == "oracle":
-                    cached = oracle_skew_cache.get(k)
-                    if cached is None:
-                        cached = {
-                            i: oracle_heterogeneity(client[q.attrs], global_answers[q.attrs])
-                            for i, q in enumerate(completed.queries)
-                        }
-                        oracle_skew_cache[k] = cached
-                    for i in candidates:
-                        skew[i] = cached[i]
-                elif variant == "private":
-                    reference = {
-                        a: oneway_estimates.get(a, model_oneways[a]) for a in range(d)
-                    }
-                    client_oneways = {a: client[(a,)] for a in range(d)}
-                    for i in candidates:
-                        skew[i] = heterogeneity_proxy(
-                            client_oneways, reference, completed.queries[i]
-                        )
-            skew_log[k] = {"mean_skew": float(np.mean(list(skew.values()))) if skew else 0.0}
-
-            local_measurements: list[Measurement] = []
-            local_model = model
-            local_answers = model_answers
-            chosen_here: list[MarginalQuery] = []
-            for l in range(s):
-                step_candidates = candidates
-                if l > 0:
-                    # local measurements may already have grown the model
-                    local_sizes = {
-                        i: local_model.size_bytes(completed.queries[i]) for i in candidates
-                    }
-                    step_candidates = [i for i in candidates if local_sizes[i] <= limit]
-                    if not step_candidates:
-                        step_candidates = [min(candidates, key=lambda i: local_sizes[i])]
-                scores = _local_utilities(
-                    client, local_answers, completed, step_candidates, schedule.sigma,
-                    int(sizes[k]), skew, config.normalize_scores,
-                )
-                if config.noiseless:
-                    pick = int(np.argmax(scores))
-                else:
-                    pick = exponential_mechanism(
-                        scores, schedule.eps, sensitivity, fork(config.seed, "select", t, k, l)
-                    )
-                q = completed.queries[step_candidates[pick]]
-                chosen_here.append(q)
-                if l + 1 < s:
-                    # local model update from the client's own noisy measurement
-                    noise_rng = fork(config.seed, "localmeasure", t, k, l)
-                    noisy = client[q.attrs] + (
-                        0.0 if config.noiseless else noise_rng.normal(0.0, schedule.sigma, q.cardinality)
-                    )
-                    scale = n_global / max(int(sizes[k]), 1) if config.normalize_scores else 1.0
-                    local_measurements.append(
-                        Measurement(t, q, noisy * scale, schedule.sigma, 1.0 / schedule.sigma)
-                    )
-                    local_model = fit(
-                        measurements + local_measurements, domain,
-                        iterations=config.fit_iters, tolerance=config.fit_tolerance,
-                        warm_start=local_model, max_cells=config.max_cells,
-                        total=float(n_global),
-                    )
-                    local_answers = (
-                        _normalized_model_answers(local_model, completed, candidates)
-                        if config.normalize_scores
-                        else {i: local_model.marginal_counts(completed.queries[i]) for i in candidates}
-                    )
-            for q in chosen_here:
-                selected.setdefault(q.attrs, []).append(k)
-
-        # server-side admission: each selection fit the size cap on its own,
-        # but chained merges across clients could not be foreseen locally, so
-        # queries are admitted in deterministic order against the same limit
-        by_attrs = {q.attrs: q for q in completed.queries}
-        admitted: list[tuple[int, ...]] = []
-        rejected: list[tuple[int, ...]] = []
-        current_comps = list(model.measured_components)
-        for attrs in sorted(selected):
-            merged = merged_components(current_comps, attrs)
-            if admitted and component_bytes(domain, merged) > max(limit, 0.0):
-                rejected.append(attrs)
-                continue
-            admitted.append(attrs)
-            current_comps = merged
-        for attrs in admitted:
-            contributors = sorted(set(selected[attrs]))
-            measurements.append(
-                measure_aggregate(by_attrs[attrs], contributors, t, ("sel",) + attrs, "flaim")
-            )
-        if variant == "private":
-            for a in range(d):
-                m = measure_aggregate(one_ways[a], participants, t, ("oneway", a), "flaim-oneway")
-                measurements.append(m)
-                oneway_estimates[a] = normalized_counts(m.noisy_counts)
-
-        previous = {attrs: model.marginal_counts(by_attrs[attrs]) for attrs in admitted}
-        model = fit(
-            measurements, domain, iterations=config.fit_iters,
-            tolerance=config.fit_tolerance, warm_start=model, max_cells=config.max_cells,
-        )
-        rounds_log.append(
-            {"t": t, "phase": "round", "participants": participants,
-             "selected": sorted(list(a) for a in admitted),
-             "rejected": sorted(list(a) for a in rejected),
-             "skews": skew_log, "sigma": schedule.sigma, "eps": schedule.eps,
-             "rho_used": accountant.rho_used, "final": finishing}
-        )
-        if not fixed:
-            if finishing:
-                break
-            passed = False
-            for attrs, prev_counts in previous.items():
-                q = by_attrs[attrs]
-                change = float(np.abs(model.marginal_counts(q) - prev_counts).sum())
-                if annealing_condition(change, schedule.sigma, q.cardinality):
-                    passed = True
-                    break
-            if passed:
-                schedule = anneal_step(schedule, True)
-                rounds_log[-1]["annealed"] = True
-            if final_round_triggered(accountant.remaining, schedule, gauss_per_round, s):
-                schedule = final_round_adjust(
-                    accountant.remaining, schedule, gauss_per_round, s
-                )
-                finishing = True
-
-    model = fit(
-        measurements, domain, iterations=config.final_fit_iters,
-        tolerance=config.final_fit_tolerance, warm_start=model, max_cells=config.max_cells,
-    )
-    return FedResult(model, accountant, ledger, rounds_log, completed)
+    completed = complete_workload(data.domain, workload)
+    loop = _FlaimLoop(data, partition, completed, config)
+    model = loop.run()
+    return FedResult(model, loop.accountant, loop.ledger, loop.rounds, completed)

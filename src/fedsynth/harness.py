@@ -116,6 +116,7 @@ class RunResult:
     round_log: list[dict] = field(default_factory=list)
     accounting: dict = field(default_factory=dict)
     comms_csv: str = ""
+    traceback: str = ""  # full traceback of a failed run; ``status`` keeps its last line
 
     def metric_row(self) -> dict:
         row = {}
@@ -222,15 +223,13 @@ def _sampled_nll(
 ) -> float:
     """Holdout NLL under per-component empirical frequencies of a synthetic
     sample (the sample-based reading of the generalization metric)."""
-    logp = np.zeros(holdout.n_records)
-    n = max(sample.n_records, 1)
+    tables = {}
     for comp in model.components:
         shape = model.domain.shape(comp)
         idx = np.ravel_multi_index(tuple(sample.rows[:, a] for a in comp), dims=shape)
-        freq = np.bincount(idx, minlength=int(np.prod(shape))) / n
-        hold_idx = np.ravel_multi_index(tuple(holdout.rows[:, a] for a in comp), dims=shape)
-        logp += np.log(np.maximum(freq[hold_idx], floor))
-    return float(-logp.mean())
+        tables[comp] = np.bincount(idx, minlength=int(np.prod(shape))).reshape(shape)
+    empirical = ModelState(model.domain, max(sample.n_records, 1), model.components, tables)
+    return empirical.nll(holdout, floor)
 
 
 def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
@@ -303,7 +302,8 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
             "charges": run.accountant.ledger(),
         }
     except Exception:
-        result.status = "failed: " + traceback.format_exc(limit=1).strip().splitlines()[-1]
+        result.traceback = traceback.format_exc()
+        result.status = "failed: " + result.traceback.strip().splitlines()[-1]
     result.wall_time = time.perf_counter() - start
     return result
 
@@ -337,6 +337,7 @@ def write_results(
     atomic_write_text(os.path.join(out_dir, "results.csv"), results_to_csv(results))
     meta = {
         "wall_times": {f"{r.method}:{r.seed}": r.wall_time for r in results},
+        "failures": {f"{r.method}:{r.seed}": r.traceback for r in results if r.traceback},
     }
     atomic_write_text(os.path.join(out_dir, "runmeta.json"), json.dumps(meta, indent=2) + "\n")
     if config is not None:

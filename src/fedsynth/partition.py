@@ -196,21 +196,34 @@ def client_query_skew(
     )
 
 
+def client_counts(
+    data: DiscreteDataset, partition: ClientPartition, query: MarginalQuery
+) -> np.ndarray:
+    """(clients x cells) counts of ``query``: one ``bincount`` over
+    ``client * cells + cell``; row ``k`` is client ``k``'s marginal."""
+    cells = np.ravel_multi_index(
+        tuple(data.rows[:, a] for a in query.attrs), dims=data.domain.shape(query.attrs)
+    )
+    flat = np.bincount(
+        partition.assignments * query.cardinality + cells,
+        minlength=partition.n_clients * query.cardinality,
+    )
+    return flat.reshape(partition.n_clients, query.cardinality)
+
+
 def heterogeneity_report(
     data: DiscreteDataset, partition: ClientPartition, workload: Workload
 ) -> HeterogeneityReport:
     if len(partition) != data.n_records:
         raise ValueError("partition does not cover the dataset")
-    global_tables = [evaluate_marginal(data, q).counts for q in workload.queries]
     skews = np.zeros((partition.n_clients, len(workload)))
-    empty = []
-    for k in range(partition.n_clients):
-        local = partition.client_data(data, k)
-        if local.n_records == 0:
-            empty.append(k)
-        for j, q in enumerate(workload.queries):
-            skews[k, j] = client_query_skew(local.marginal_counts(q), global_tables[j])
-    return HeterogeneityReport(skews, workload.queries, tuple(empty))
+    for j, q in enumerate(workload.queries):
+        global_counts = evaluate_marginal(data, q).counts
+        per_client = client_counts(data, partition, q)
+        for k in range(partition.n_clients):
+            skews[k, j] = client_query_skew(per_client[k], global_counts)
+    empty = tuple(int(k) for k in np.nonzero(partition.sizes() == 0)[0])
+    return HeterogeneityReport(skews, workload.queries, empty)
 
 
 def mixture_dataset(

@@ -89,6 +89,18 @@ def exponential_cost(eps: float) -> float:
     return eps * eps / 8.0
 
 
+def implied_charge(params: dict) -> float | None:
+    """The rho a ledger charge's recorded parameters imply: ``count`` times
+    the Gaussian cost of ``sigma`` or the exponential cost of ``eps``; None
+    when the charge records neither."""
+    count = params.get("count", 1)
+    if "sigma" in params:
+        return count * gaussian_cost(params["sigma"])
+    if "eps" in params:
+        return count * exponential_cost(params["eps"])
+    return None
+
+
 class BudgetExhaustedError(RuntimeError):
     def __init__(self, requested: float, remaining: float):
         self.requested = requested

@@ -75,6 +75,32 @@ def test_audit_ledger_pass_and_fail(tmp_path, capsys):
     assert "VIOLATION" in capsys.readouterr().out
 
 
+def test_audit_ledger_recomputes_each_charge(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    out = str(tmp_path / "out")
+    write_experiment_config(cfg, out)
+    assert main(["run", "--config", str(cfg), "--seed", "3", "--jobs", "1"]) == 0
+    first, second = sorted(p for p in os.listdir(out) if p.startswith("accounting_"))
+    # hide spend: shrink one charge and rho_used alike, so the re-sum still agrees
+    path = os.path.join(out, first)
+    payload = json.loads(open(path).read())
+    cut = payload["charges"][1]["rho"] / 2
+    payload["charges"][1]["rho"] -= cut
+    payload["rho_used"] -= cut
+    open(path, "w").write(json.dumps(payload))
+    # a charge that records no mechanism parameter
+    path = os.path.join(out, second)
+    payload = json.loads(open(path).read())
+    payload["charges"][0]["params"] = {}
+    open(path, "w").write(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit-ledger", out]) == 2
+    printed = capsys.readouterr().out
+    assert printed.count("VIOLATION") == 2
+    assert "charge 1 (" in printed and "its parameters give" in printed
+    assert "charge 0 (" in printed and "records no mechanism parameter" in printed
+
+
 def test_audit_ledger_empty_dir(tmp_path):
     assert main(["audit-ledger", str(tmp_path)]) == 1
 

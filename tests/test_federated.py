@@ -140,6 +140,29 @@ def test_distaim_zero_participant_round_skipped(fed_problem):
     assert skipped, "expected at least one skipped round at this sampling rate"
 
 
+# --- shared loop ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "method, local_rounds",
+    [("aim", 1), ("distaim", 1)]
+    + [(f"flaim-{v}", s) for v in ("naive", "oracle", "private") for s in (1, 2)],
+)
+def test_annealing_ends_on_one_final_round_spending_the_rest(fed_problem, method, local_rounds):
+    data, partition, _, workload = fed_problem
+    common = dict(epsilon=1.0, rounds=None, seed=8, max_model_size=1 << 16,
+                  fit_iters=15, final_fit_iters=20)
+    if method == "aim":
+        res = run_aim(data, workload, AimConfig(**common))
+    else:
+        variant = method.split("-")[1] if method.startswith("flaim") else "naive"
+        cfg = FedConfig(sample_rate=0.5, local_rounds=local_rounds, variant=variant, **common)
+        res = (run_distaim if method == "distaim" else run_flaim)(data, partition, workload, cfg)
+    executed = [e for e in res.rounds if e.get("phase", "round") == "round"]
+    assert [e["final"] for e in executed] == [False] * (len(executed) - 1) + [True]
+    assert res.accountant.rho_used == pytest.approx(res.accountant.rho_total, rel=1e-9)
+
+
 # --- federated protocol ----------------------------------------------------------------
 
 

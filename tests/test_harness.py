@@ -78,6 +78,16 @@ def test_failures_recorded_not_raised():
     assert "failed" in results_to_csv(results)
 
 
+def test_failure_traceback_kept_in_runmeta(tmp_path):
+    config = tiny_config(repeats=1)
+    config.protocol["max_model_size"] = 1  # run_aim refuses it
+    results = run_experiment(config)
+    write_results(results, str(tmp_path), config)
+    trace = json.loads((tmp_path / "runmeta.json").read_text())["failures"]["aim:10"]
+    assert trace.startswith("Traceback") and "in run_aim" in trace
+    assert results[0].status == "failed: " + trace.strip().splitlines()[-1]
+
+
 def test_parallel_jobs_match_serial():
     config = tiny_config(repeats=2)
     serial = results_to_csv(run_experiment(config, jobs=1))
