@@ -33,6 +33,7 @@ from .privacy import (
     final_round_triggered,
     flaim_schedule,
     gaussian_cost,
+    gaussian_mechanism,
 )
 from .rng import fork
 from .workload import Workload, complete_workload
@@ -139,7 +140,7 @@ class Loop:
         if self.fixed:
             self.schedule = flaim_schedule(config.rounds, local_rounds, n_init, self.rho, config.gauss_frac, mode)
         else:
-            self.schedule, _ = central_schedule_init(len(self.domain), self.rho, config.anneal_rounds_factor)
+            self.schedule = central_schedule_init(len(self.domain), self.rho, config.anneal_rounds_factor)
         self.sensitivity = completed.max_weight()
         self.measurements: list[Measurement] = []
         self.rounds: list[dict] = []
@@ -168,16 +169,17 @@ class Loop:
     def measure(self, query: MarginalQuery, counts: np.ndarray, rng, scale: float = 1.0) -> Measurement:
         """Gaussian measurement of ``counts`` at the round's sigma, times ``scale``."""
         sigma = self.schedule.sigma
-        noisy = counts if self.config.noiseless else counts + rng.normal(0.0, sigma, query.cardinality)
+        noisy = counts if self.config.noiseless else gaussian_mechanism(counts, sigma, rng)
         return Measurement(self.t, query, noisy * scale, sigma, 1.0 / sigma)
 
     def measure_init(self, one_ways: list[MarginalQuery], measure, total: float | None = None) -> ModelState:
-        """Measure every one-way with ``measure`` and fit the first model."""
+        """Measure every one-way with ``measure`` (``None`` leaves one
+        unmeasured) and fit the first model."""
         sigma = self.schedule.sigma
         self.accountant.charge(
             len(one_ways) * gaussian_cost(sigma), "gaussian_init", self.t, sigma=sigma, count=len(one_ways)
         )
-        self.measurements += [measure(q) for q in one_ways]
+        self.measurements += [m for m in map(measure, one_ways) if m is not None]
         return self.refit(total=total)
 
     def annealing_sigma(self) -> float:
@@ -190,7 +192,7 @@ class Loop:
         remaining = self.accountant.remaining
         counts = (self.gauss_per_round, self.exp_per_round)
         if not self.fixed and final_round_triggered(remaining, self.schedule, *counts):
-            self.schedule = final_round_adjust(remaining, self.schedule, *counts)
+            self.schedule = final_round_adjust(remaining, *counts)
             self.finishing = True
 
     def stopped(self) -> bool:
@@ -231,7 +233,7 @@ class Loop:
                 )
                 for q, before in zip(measured, previous)
             ):
-                self.schedule = anneal_step(self.schedule, True)
+                self.schedule = anneal_step(self.schedule)
                 entry["annealed"] = True
             self.schedule_final_round()
         self.model = self.refit(self.model, final=True)

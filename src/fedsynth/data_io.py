@@ -56,17 +56,6 @@ class Schema:
             raw = raw["fields"]
         return cls([SchemaField(**entry) for entry in raw])
 
-    def to_json(self, path: str) -> None:
-        payload = []
-        for f in self.fields:
-            entry = {"name": f.name, "kind": f.kind}
-            if f.kind == "continuous":
-                entry.update({"min": f.min, "max": f.max, "bins": f.bins})
-            elif f.categories is not None:
-                entry["categories"] = f.categories
-            payload.append(entry)
-        atomic_write_text(path, json.dumps({"fields": payload}, indent=2) + "\n")
-
 
 @dataclass
 class DiscretizeReport:

@@ -158,15 +158,3 @@ def normalized_counts(counts: np.ndarray) -> np.ndarray:
     if total <= 0:
         return np.zeros_like(counts)
     return counts / total
-
-
-def project_counts(
-    domain: Domain, query: MarginalQuery, counts: np.ndarray, sub: MarginalQuery
-) -> np.ndarray:
-    """Sum a marginal table down onto a subset of its attributes."""
-    if not set(sub.attrs) <= set(query.attrs):
-        raise ValueError("sub query must use a subset of the table's attributes")
-    shape = domain.shape(query.attrs)
-    table = np.asarray(counts, dtype=np.float64).reshape(shape)
-    drop = tuple(i for i, a in enumerate(query.attrs) if a not in set(sub.attrs))
-    return table.sum(axis=drop).reshape(-1)

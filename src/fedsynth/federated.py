@@ -251,24 +251,32 @@ class _FlaimLoop(Loop):
         self.oneway_estimates: dict[int, np.ndarray] = {}  # private proxy cache
         self.oracle_skew: dict[int, dict[int, float]] = {}  # static per client
         self.by_attrs = {q.attrs: q for q in completed.queries}
+        self.unmeasured: list[list[int]] = []  # this round's queries left unmeasured
 
     def measure_aggregate(
         self, query: MarginalQuery, contributors: list[int], tag, protocol: str
-    ) -> Measurement:
+    ) -> Measurement | None:
+        """The contributors' securely aggregated, noised answers to ``query``;
+        ``None`` (the query is noted in ``unmeasured``) when weights come
+        from public sizes and every contributor holds no rows, so the
+        measurement would carry no weight."""
         cfg, sigma, t = self.config, self.schedule.sigma, self.t
+        # contributor mass: the private variant self-estimates it from the
+        # noisy cells; the others may treat sizes as public.  It weights the
+        # measurement (except under naive weighting) and normalizes its scale.
+        weighting = "naive" if cfg.naive_weighting else cfg.variant
+        if weighting != "private":
+            size_est = float(sum(int(self.sizes[k]) for k in contributors))
+            if weighting == "oracle" and size_est == 0:
+                self.unmeasured.append(list(query.attrs))
+                return None
         vectors = [self.answers[k][query.attrs] for k in contributors]
         agg = secagg_round(
             vectors, 0.0 if cfg.noiseless else sigma, fork(cfg.seed, "aggmeasure", t, *tag),
             self.ledger, clients=contributors, round_index=t, protocol=protocol,
         )
-        # contributor mass: the private variant self-estimates it from the
-        # noisy cells; the others may treat sizes as public.  It weights the
-        # measurement (except under naive weighting) and normalizes its scale.
-        weighting = "naive" if cfg.naive_weighting else cfg.variant
         if weighting == "private":
             size_est = max(float(agg.sum()), 1.0)
-        else:
-            size_est = float(sum(int(self.sizes[k]) for k in contributors))
         weight = (1.0 if weighting == "naive" else size_est) / sigma
         scaled = agg * (self.data.n_records / max(size_est, 1.0)) if cfg.normalize_scores else agg
         return Measurement(t, query, scaled, sigma, weight)
@@ -289,9 +297,15 @@ class _FlaimLoop(Loop):
         )
         self.rounds.append(
             {"t": 0, "phase": "init", "participants": participants,
-             "sigma": self.schedule.sigma, "eps": self.schedule.eps, "rho_used": self.accountant.rho_used}
+             "sigma": self.schedule.sigma, "eps": self.schedule.eps, "rho_used": self.accountant.rho_used,
+             **self.take_unmeasured()}
         )
         return model
+
+    def take_unmeasured(self) -> dict:
+        """The round-log field ``unmeasured``, present only when non-empty."""
+        unmeasured, self.unmeasured = self.unmeasured, []
+        return {"unmeasured": unmeasured} if unmeasured else {}
 
     def client_skew(self, k: int, candidates: list[int], model_oneways) -> dict[int, float]:
         """Skew penalty of each candidate for client ``k``."""
@@ -394,11 +408,13 @@ class _FlaimLoop(Loop):
                 continue
             admitted.append(attrs)
             current_comps = merged
+        measured = []
         for attrs in admitted:
             contributors = sorted(set(selected[attrs]))
-            self.measurements.append(
-                self.measure_aggregate(self.by_attrs[attrs], contributors, ("sel",) + attrs, "flaim")
-            )
+            m = self.measure_aggregate(self.by_attrs[attrs], contributors, ("sel",) + attrs, "flaim")
+            if m is not None:
+                self.measurements.append(m)
+                measured.append(m.query)
         if self.private:
             for a, q in enumerate(self.one_ways):
                 m = self.measure_aggregate(q, participants, ("oneway", a), "flaim-oneway")
@@ -406,8 +422,9 @@ class _FlaimLoop(Loop):
                 self.oneway_estimates[a] = normalized_counts(m.noisy_counts)
         fields = {"phase": "round", "participants": participants,
                   "selected": sorted(list(a) for a in admitted),
-                  "rejected": sorted(list(a) for a in rejected), "skews": skew_log}
-        return fields, [self.by_attrs[attrs] for attrs in admitted]
+                  "rejected": sorted(list(a) for a in rejected), "skews": skew_log,
+                  **self.take_unmeasured()}
+        return fields, measured
 
 
 def run_flaim(

@@ -40,6 +40,12 @@ from .workload import Workload, random_workload, workload_error
 
 METHODS = ("aim", "distaim", "flaim-naive", "flaim-oracle", "flaim-private")
 
+# protocol keys passed to AimConfig, and to FedConfig for the other methods;
+# an absent key takes the dataclass default
+AIM_KEYS = ("epsilon", "delta", "rounds", "max_model_size", "gauss_frac", "fit_iters", "final_fit_iters")
+FED_KEYS = AIM_KEYS + ("sample_rate", "local_rounds", "parties", "normalize_scores")
+PROTOCOL_KEYS = ("method",) + FED_KEYS
+
 RESULT_COLUMNS = [
     "config_hash",
     "method",
@@ -236,6 +242,9 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
     method = config.protocol.get("method")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    unknown = set(config.protocol) - set(PROTOCOL_KEYS)
+    if unknown:
+        raise ValueError(f"unknown protocol keys {sorted(unknown)}; expected some of {PROTOCOL_KEYS}")
     result = RunResult(config_hash=config.hash(), method=method, seed=run_seed)
     start = time.perf_counter()
     try:
@@ -243,19 +252,11 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
             config.dataset, run_seed, config.holdout_fraction
         )
         workload = build_workload(config.workload, train, run_seed)
-        proto = config.protocol
-        common = dict(
-            epsilon=proto["epsilon"],
-            delta=proto.get("delta", 1e-9),
-            rounds=proto.get("rounds"),
-            max_model_size=proto.get("max_model_size", 1 << 22),
-            gauss_frac=proto.get("gauss_frac", 0.9),
-            fit_iters=proto.get("fit_iters", 100),
-            final_fit_iters=proto.get("final_fit_iters", 1000),
-            seed=run_seed,
-        )
+        keys = AIM_KEYS if method == "aim" else FED_KEYS
+        # no ``rounds`` means annealing for every method
+        settings = {"rounds": None, **{k: config.protocol[k] for k in keys if k in config.protocol}}
         if method == "aim":
-            run = run_aim(train, workload, AimConfig(**common))
+            run = run_aim(train, workload, AimConfig(seed=run_seed, **settings))
             comms = None
         else:
             partition = build_partition(
@@ -263,14 +264,8 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
             )
             if partition is None:
                 raise ValueError(f"method {method} requires a partition")
-            fed = FedConfig(
-                sample_rate=proto.get("sample_rate", 0.1),
-                local_rounds=proto.get("local_rounds", 1),
-                variant=method.split("-", 1)[1] if method.startswith("flaim") else "naive",
-                parties=proto.get("parties", 3),
-                normalize_scores=proto.get("normalize_scores", True),
-                **common,
-            )
+            variant = method.split("-", 1)[1] if method.startswith("flaim") else "naive"
+            fed = FedConfig(seed=run_seed, variant=variant, **settings)
             run = (
                 run_distaim(train, partition, workload, fed)
                 if method == "distaim"

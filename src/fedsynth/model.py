@@ -15,13 +15,12 @@ factors so the model always covers the whole domain.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import DiscreteDataset, Domain, MarginalQuery, MarginalTable
+from .domain import DiscreteDataset, Domain, MarginalQuery
 
 CELL_BYTES = 8
 # log floor for warm-start logits: cells whose mass underflowed to zero
@@ -279,9 +278,10 @@ class ModelState:
         self.meta = meta or {}
 
     @property
-    def logits(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        """Logits of each measured component, derived from its table on access."""
-        return _TableLogits(self)
+    def logits(self) -> dict[tuple[int, ...], np.ndarray]:
+        """``log(table)`` of each measured component, built on access; softmax
+        is shift-invariant, so these seed a fit like the fitted logits."""
+        return {c: np.log(np.maximum(self.tables[c], _LOG_FLOOR)) for c in self.measured_components}
 
     @classmethod
     def uniform(cls, domain: Domain, total: float = 1.0) -> "ModelState":
@@ -307,9 +307,6 @@ class ModelState:
         perm = np.argsort(order)
         joint = np.transpose(joint, perm)
         return joint.reshape(-1) * self.total
-
-    def answer(self, query: MarginalQuery) -> MarginalTable:
-        return MarginalTable(query, self.marginal_counts(query))
 
     def sample(self, n_rows: int, rng: np.random.Generator) -> DiscreteDataset:
         """Draw i.i.d. rows, each component sampled independently."""
@@ -345,31 +342,6 @@ class ModelState:
         """Model size (bytes) after hypothetically measuring ``candidate``."""
         extra = candidate.attrs if candidate is not None else None
         return component_bytes(self.domain, merged_components(self.measured_components, extra))
-
-
-class _TableLogits(Mapping):
-    """Read-only view: ``log(table)`` per measured component.
-
-    Softmax is shift-invariant, so these seed a fit exactly like the logits
-    the table was fitted from.
-    """
-
-    def __init__(self, model: ModelState):
-        self._model = model
-
-    def __getitem__(self, comp: tuple[int, ...]) -> np.ndarray:
-        if comp not in self._model.measured_components:
-            raise KeyError(comp)
-        return np.log(np.maximum(self._model.tables[comp], _LOG_FLOOR))
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._model.measured_components)
-
-    def __len__(self) -> int:
-        return len(self._model.measured_components)
-
-    def __contains__(self, comp) -> bool:
-        return comp in self._model.measured_components
 
 
 def _signature(iterations: int, tolerance: float, local: Sequence[Measurement]) -> bytes:
@@ -431,7 +403,7 @@ def fit(
         local = [m for m in measurements if set(m.query.attrs) <= set(comp)]
         sig = _signature(iterations, tolerance, local)
         signatures[comp] = sig
-        if warm_start is not None and prev_sigs.get(comp) == sig and comp in warm_start.logits:
+        if warm_start is not None and prev_sigs.get(comp) == sig and comp in warm_start.measured_components:
             # measurement set and fit settings unchanged: carry the component
             # over, rescaled to the new total mass
             tables[comp] = warm_start.tables[comp] * (total / warm_start.total)
@@ -449,59 +421,21 @@ def fit(
     return ModelState(domain, total, comps, tables, meta)
 
 
-def save_model(path: str, model: ModelState) -> None:
-    """Persist component tables for inspection (npz with a JSON header)."""
-    import io as _io
-    import json
-
-    from .data_io import atomic_write_bytes
-
-    header = {
-        "attributes": list(model.domain.attributes),
-        "cardinalities": list(model.domain.cardinalities),
-        "total": model.total,
-        "measured_components": [list(c) for c in model.measured_components],
-        "components": [list(c) for c in model.components],
-    }
-    arrays = {f"table_{i}": model.tables[comp] for i, comp in enumerate(model.components)}
-    buf = _io.BytesIO()
-    np.savez(buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
-    atomic_write_bytes(path, buf.getvalue())
-
-
-def load_model(path: str) -> ModelState:
-    import json
-
-    from .domain import Domain as _Domain
-
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        domain = _Domain.make(header["attributes"], header["cardinalities"])
-        components = [tuple(c) for c in header["components"]]
-        tables = {comp: archive[f"table_{i}"] for i, comp in enumerate(components)}
-        return ModelState(
-            domain,
-            header["total"],
-            [tuple(c) for c in header["measured_components"]],
-            tables,
-        )
-
-
 def _warm_logits(
     comp: tuple[int, ...], shape: tuple[int, ...], previous: ModelState
 ) -> np.ndarray | None:
     """Initial logits for a component from an earlier model.
 
     Any previous measured component fully inside the new one contributes its
-    logits broadcast over the missing axes, which initializes the merged
-    component at the product of its parts.
+    logits, ``log(table)``, broadcast over the missing axes, which initializes
+    the merged component at the product of its parts.
     """
-    logits = previous.logits
     theta = None
-    for old in logits:
+    for old in previous.measured_components:
         if not set(old) <= set(comp):
             continue
         if theta is None:
             theta = np.zeros(shape)
-        theta += logits[old].reshape(tuple(n if a in old else 1 for a, n in zip(comp, shape)))
+        expand = tuple(n if a in old else 1 for a, n in zip(comp, shape))
+        theta += np.log(np.maximum(previous.tables[old], _LOG_FLOOR)).reshape(expand)
     return theta

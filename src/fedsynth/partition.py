@@ -44,12 +44,6 @@ class ClientPartition:
     def __len__(self) -> int:
         return self.assignments.size
 
-    def client_rows(self, k: int) -> np.ndarray:
-        return np.nonzero(self.assignments == k)[0]
-
-    def client_data(self, data: DiscreteDataset, k: int) -> DiscreteDataset:
-        return data.subset(self.client_rows(k))
-
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.n_clients)
 

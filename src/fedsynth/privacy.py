@@ -13,7 +13,6 @@ finding the largest rho whose delta does not exceed the target.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -148,19 +147,6 @@ class PrivacyAccountant:
     def ledger(self) -> list[dict]:
         return list(self.records)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rho_total": self.rho_total,
-                "rho_used": self.rho_used,
-                "charges": self.records,
-            },
-            indent=2,
-        )
-
-    def replay_total(self) -> float:
-        return float(sum(r["rho"] for r in self.records))
-
 
 def gaussian_mechanism(
     counts: np.ndarray,
@@ -185,9 +171,6 @@ def exponential_mechanism(
     eps: float,
     sensitivity: float,
     rng: np.random.Generator,
-    accountant: PrivacyAccountant | None = None,
-    round_index: int = 0,
-    label: str = "exponential",
 ) -> int:
     """Sample an index with P[i] proportional to exp(eps * u_i / (2 sensitivity)).
 
@@ -198,8 +181,6 @@ def exponential_mechanism(
         raise ValueError("candidate set is empty")
     if eps <= 0 or sensitivity <= 0:
         raise ValueError("eps and sensitivity must be positive")
-    if accountant is not None:
-        accountant.charge(exponential_cost(eps), label, round_index, eps=eps)
     scaled = eps * (scores - scores.max()) / (2.0 * sensitivity)
     return int(np.argmax(scaled + rng.gumbel(size=scores.shape)))
 
@@ -218,7 +199,6 @@ class NoiseSchedule:
 
     sigma: float
     eps: float
-    mode: str = "fixed"
 
     def __post_init__(self):
         if self.sigma <= 0 or self.eps <= 0:
@@ -243,30 +223,25 @@ def flaim_schedule(T: int, s: int, d: int, rho: float, r: float, mode: str) -> N
     else:
         raise ValueError(f"unknown schedule mode {mode!r}")
     eps = math.sqrt(8.0 * (1.0 - r) * rho / (T * s))
-    return NoiseSchedule(sigma=sigma, eps=eps, mode=mode)
+    return NoiseSchedule(sigma=sigma, eps=eps)
 
 
-def central_schedule_init(
-    d: int, rho_total: float, rounds_factor: int = 16
-) -> tuple[NoiseSchedule, int]:
+def central_schedule_init(d: int, rho_total: float, rounds_factor: int = 16) -> NoiseSchedule:
     """Annealing start point: sigma_0^2 = 16 d / (0.9 rho) and its eps_0.
 
     ``rounds_factor`` is 16 for the central algorithm and 8 for the
-    federated adaptations; it also bounds the attainable round count when
-    annealing never fires.
+    federated adaptations.
     """
     if rho_total <= 0:
         raise ValueError("rho_total must be positive")
     sigma = math.sqrt(rounds_factor * d / (0.9 * rho_total))
     eps = math.sqrt(8.0 * 0.1 * rho_total / (rounds_factor * d))
-    return NoiseSchedule(sigma=sigma, eps=eps, mode="anneal"), rounds_factor * d
+    return NoiseSchedule(sigma=sigma, eps=eps)
 
 
-def anneal_step(schedule: NoiseSchedule, improvement_observed: bool) -> NoiseSchedule:
-    """Halve sigma and double eps when model progress stalled this round."""
-    if not improvement_observed:
-        return schedule
-    return NoiseSchedule(sigma=schedule.sigma / 2.0, eps=schedule.eps * 2.0, mode=schedule.mode)
+def anneal_step(schedule: NoiseSchedule) -> NoiseSchedule:
+    """Halve sigma and double eps (model progress stalled this round)."""
+    return NoiseSchedule(sigma=schedule.sigma / 2.0, eps=schedule.eps * 2.0)
 
 
 def annealing_condition(change_l1: float, sigma: float, n_cells: float) -> bool:
@@ -292,16 +267,11 @@ def final_round_triggered(
     return remaining <= 2.0 * per_round
 
 
-def final_round_adjust(
-    remaining: float,
-    schedule: NoiseSchedule,
-    gauss_count: int = 1,
-    exp_count: int = 1,
-) -> NoiseSchedule:
+def final_round_adjust(remaining: float, gauss_count: int = 1, exp_count: int = 1) -> NoiseSchedule:
     """Parameters whose one remaining round spends the budget exactly
     (0.9/0.1 split between Gaussian and exponential applications)."""
     if remaining <= 0:
         raise ValueError("no budget remaining")
     sigma = math.sqrt(gauss_count / (2.0 * 0.9 * remaining))
     eps = math.sqrt(8.0 * 0.1 * remaining / exp_count)
-    return NoiseSchedule(sigma=sigma, eps=eps, mode=schedule.mode)
+    return NoiseSchedule(sigma=sigma, eps=eps)

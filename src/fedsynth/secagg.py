@@ -1,10 +1,12 @@
 """Simulated secret sharing and secure aggregation with cost accounting.
 
 Marginal counts are encoded as elements of the ring Z_{2^64}; additive
-shares are uniform on the ring and reconstruction is an exact modular sum.
+shares are uniform on the ring and their modular sum is the encoded count.
 There is no cryptographic transport: the contract is bit-exact aggregation
 plus a byte ledger, which is everything the protocol simulations consume.
-Noise is applied once by the server role after reconstruction.
+The protocols add encoded answers directly (what a client's shares sum to)
+and charge every share's bytes; :func:`share` is the reference for that.
+Noise is applied once by the server role after aggregation.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .privacy import gaussian_mechanism
 
 SHARE_BYTES = 8
 DEFAULT_PARTIES = 3
@@ -82,29 +85,12 @@ class CommsLedger:
             totals[client] = totals.get(client, 0) + sent + received
         return totals
 
-    def total_client_bytes(self) -> int:
-        return sum(self.client_totals().values())
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(_LEDGER_FIELDS)
         writer.writerows(self._rows())
         return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class ShareVector:
-    """One additive share of an integer-encoded marginal."""
-
-    values: np.ndarray = field(compare=False)
-    query_key: tuple[int, ...]
-    party: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.uint64).copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 def _encode(counts: np.ndarray) -> np.ndarray:
@@ -123,15 +109,15 @@ def _decode(ring: np.ndarray) -> np.ndarray:
 
 def share(
     counts: np.ndarray,
-    query_key: tuple[int, ...],
     rng: np.random.Generator,
     parties: int = DEFAULT_PARTIES,
     ledger: CommsLedger | None = None,
     client: int = 0,
     round_index: int = 0,
     protocol: str = "share",
-) -> list[ShareVector]:
-    """Split integer counts into ``parties`` uniform additive ring shares."""
+) -> list[np.ndarray]:
+    """Split integer counts into ``parties`` uniform additive ring shares
+    (uint64 arrays whose wrapping sum is the encoded counts)."""
     if parties < 2:
         raise ValueError("need at least two parties")
     encoded = _encode(counts)
@@ -150,31 +136,7 @@ def share(
             bytes_sent=encoded.size * SHARE_BYTES * parties,
             protocol=protocol,
         )
-    return [ShareVector(s, tuple(query_key), i) for i, s in enumerate(shares)]
-
-
-def reconstruct(shares: list[ShareVector]) -> np.ndarray:
-    """Exact counts from a complete share set (modular sum, then decode)."""
-    if not shares:
-        raise ValueError("no shares given")
-    key = shares[0].query_key
-    total = np.zeros_like(shares[0].values)
-    for s in shares:
-        if s.query_key != key:
-            raise ValueError(f"mismatched query ids: {s.query_key} vs {key}")
-        total = total + s.values
-    return _decode(total)
-
-
-def aggregate(share_groups: list[list[ShareVector]]) -> np.ndarray:
-    """Sum the marginals of several clients given their share sets.
-
-    Associative and order-independent; exact for totals below 2^63.
-    """
-    if not share_groups:
-        raise ValueError("nothing to aggregate")
-    flat = [s for group in share_groups for s in group]
-    return reconstruct(flat)
+    return shares
 
 
 class ShareAccumulator:
@@ -259,5 +221,5 @@ def secagg_round(
                 protocol=protocol,
             )
     if sigma > 0:
-        total = total + rng.normal(0.0, sigma, size=total.shape)
+        total = gaussian_mechanism(total, sigma, rng)
     return total

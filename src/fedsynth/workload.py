@@ -43,9 +43,6 @@ class Workload:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def attr_sets(self) -> list[tuple[int, ...]]:
-        return [q.attrs for q in self.queries]
-
     def max_weight(self) -> float:
         return max(self.weights)
 

@@ -88,7 +88,7 @@ def _replay_vs_analytic(acct, rounds, d, s=1, private=False, init_count=None):
         elif phase == "round":
             gauss_apps = (s + d) if private else s
             analytic += gauss_apps * gaussian_cost(entry["sigma"]) + s * exponential_cost(entry["eps"])
-    replay = acct.replay_total()
+    replay = sum(r["rho"] for r in acct.ledger())
     return replay, analytic
 
 
@@ -354,7 +354,7 @@ def test_criterion_07_proxy_validity():
     }
     proxies, exacts = [], []
     for k in range(8):
-        local = clustered.client_data(data, k)
+        local = data.subset(np.nonzero(clustered.assignments == k)[0])
         client_oneways = {
             a: evaluate_marginal(local, MarginalQuery.make(data.domain, (a,))).counts
             for a in range(len(data.domain))
@@ -397,8 +397,8 @@ def test_criterion_08_throughput_trend():
                 final_fit_iters=100, final_fit_tolerance=1e-4)
     dist = run_distaim(data, partition, workload, FedConfig(**fast))
     flaim = run_flaim(data, partition, workload, FedConfig(variant="private", **fast))
-    dist_bytes = dist.comms.total_client_bytes()
-    flaim_bytes = flaim.comms.total_client_bytes()
+    dist_bytes = sum(dist.comms.client_totals().values())
+    flaim_bytes = sum(flaim.comms.client_totals().values())
     ratio = dist_bytes / flaim_bytes
 
     # hand-computed single-client formulas hold exactly

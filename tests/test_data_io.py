@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,11 @@ from fedsynth.domain import DiscreteDataset, Domain
 
 def cont_field(bins=32, lo=0.0, hi=32.0, name="x"):
     return SchemaField(name=name, kind="continuous", min=lo, max=hi, bins=bins)
+
+
+def write_schema(path, schema):
+    """A schema file in the format ``Schema.from_json`` reads."""
+    path.write_text(json.dumps({"fields": [dataclasses.asdict(f) for f in schema.fields]}))
 
 
 def test_bin_boundaries():
@@ -60,7 +68,7 @@ def test_prepare_dataset_roundtrip(tmp_path):
         [cont_field(bins=4, lo=0.0, hi=4.0, name="age"), SchemaField(name="color", kind="categorical")]
     )
     schema_path = tmp_path / "schema.json"
-    schema.to_json(str(schema_path))
+    write_schema(schema_path, schema)
     data, report = prepare_dataset(str(csv_path), str(schema_path))
     assert data.n_records == 3
     assert data.rows.tolist() == [[0, 0], [3, 1], [3, 0]]
@@ -70,7 +78,7 @@ def test_prepare_dataset_missing_column(tmp_path):
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("a\n1\n")
     schema_path = tmp_path / "schema.json"
-    Schema([cont_field(name="b", bins=2, lo=0, hi=1)]).to_json(str(schema_path))
+    write_schema(schema_path, Schema([cont_field(name="b", bins=2, lo=0, hi=1)]))
     with pytest.raises(ValueError, match="missing"):
         prepare_dataset(str(csv_path), str(schema_path))
 

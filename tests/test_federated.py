@@ -33,6 +33,11 @@ from fedsynth.secagg import SHARE_BYTES
 from fedsynth.workload import complete_workload, random_workload, workload_error
 
 
+def client_data(partition, data, k):
+    """Client ``k``'s rows of ``data``."""
+    return data.subset(np.nonzero(partition.assignments == k)[0])
+
+
 @pytest.fixture(scope="module")
 def fed_problem():
     result = synthfs(n_clients=12, rows_per_client=90, seed=1, n_features=4, beta=1.0, bins=5)
@@ -58,7 +63,7 @@ def test_client_answers_match_per_client_counts(kind):
     answers = _client_answers(data, partition, queries)
     assert len(answers) == partition.n_clients
     for k in range(partition.n_clients):
-        local = partition.client_data(data, k)
+        local = client_data(partition, data, k)
         for q in queries:
             np.testing.assert_array_equal(answers[k][q.attrs], evaluate_marginal(local, q).counts)
             assert not answers[k][q.attrs].flags.writeable
@@ -93,7 +98,7 @@ def test_distaim_budget_exact_and_capped(fed_problem):
     acct = res.accountant
     assert acct.rho_used <= acct.rho_total
     assert acct.rho_used == pytest.approx(acct.rho_total, rel=1e-9)
-    assert acct.replay_total() == pytest.approx(acct.rho_used, rel=1e-12)
+    assert sum(r["rho"] for r in acct.ledger()) == pytest.approx(acct.rho_used, rel=1e-12)
 
 
 def test_distaim_participation_once_byte_formula(fed_problem):
@@ -210,6 +215,33 @@ def test_flaim_zero_participant_round_reserves_budget(fed_problem):
         assert res.accountant.rho_used == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("rounds", [5, None])
+def test_flaim_oracle_skips_queries_only_empty_clients_chose(rounds):
+    # more clients than a label-skew split fills: some hold no rows, and in
+    # round 1 every client choosing two of the one-ways is empty, so oracle
+    # weighting (public contributor sizes) would give those measurements zero
+    # weight
+    result = synthfs(n_clients=20, rows_per_client=50, seed=0, n_features=4, beta=1.0, bins=5)
+    data = result.data
+    partition = partition_label_skew(data, 40, 3, beta=0.3, seed=0)
+    assert np.any(partition.sizes() == 0)
+    workload = random_workload(data.domain, 2, 4, seed=0)
+    cfg = FedConfig(epsilon=1.0, rounds=rounds, sample_rate=0.1, seed=1, variant="oracle",
+                    max_model_size=1 << 16)
+    res = run_flaim(data, partition, workload, cfg)
+    unmeasured = [e for e in res.rounds if "unmeasured" in e]
+    assert unmeasured and all(e["unmeasured"] for e in unmeasured)
+    for e in unmeasured:
+        assert all(attrs in e["selected"] for attrs in e["unmeasured"])
+    # every admitted query is measured except the unmeasured ones
+    measured = len(data.domain) + sum(
+        len(e.get("selected", [])) - len(e.get("unmeasured", [])) for e in res.rounds
+    )
+    assert res.model.meta["n_measurements"] == measured
+    # the round's charge is kept: the budget is still spent exactly
+    assert res.accountant.rho_used == pytest.approx(res.accountant.rho_total, rel=1e-9)
+
+
 def test_flaim_naive_equals_augmented_with_hooks(fed_problem):
     data, partition, _, workload = fed_problem
     base = dict(epsilon=2.0, rounds=3, sample_rate=0.5, seed=9, max_model_size=1 << 16)
@@ -252,7 +284,7 @@ def test_flaim_duplicate_selections_single_measurement(fed_problem):
     assert len(entry["selected"]) == 1
     chosen = tuple(entry["selected"][0])
     agg = sum(
-        evaluate_marginal(partition.client_data(clones, k), MarginalQuery.make(clones.domain, chosen)).counts
+        evaluate_marginal(client_data(partition, clones, k), MarginalQuery.make(clones.domain, chosen)).counts
         for k in entry["participants"]
     )
     np.testing.assert_allclose(agg.sum(), clones.n_records)
@@ -335,7 +367,7 @@ def test_proxy_correlates_with_exact_on_clustered_split(fed_problem):
     }
     proxies, exacts = [], []
     for k in range(8):
-        local = clustered.client_data(data, k)
+        local = client_data(clustered, data, k)
         client_oneways = {
             a: evaluate_marginal(local, MarginalQuery.make(data.domain, (a,))).counts
             for a in range(len(data.domain))
@@ -375,7 +407,7 @@ def test_triangle_inequality_for_skew_penalty(fed_problem):
         )
         for k in range(partition.n_clients):
             local = normalized_counts(
-                evaluate_marginal(partition.client_data(data, k), q).counts
+                evaluate_marginal(client_data(partition, data, k), q).counts
             )
             lhs = np.abs(local - model_norm).sum()
             tau = np.abs(local - global_norm).sum()

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from fedsynth.central import AimConfig
+from fedsynth.federated import FedConfig
 from fedsynth.harness import (
     ExperimentConfig,
     execute_run,
@@ -175,6 +177,34 @@ def test_unknown_method_rejected():
     config.protocol["method"] = "wat"
     with pytest.raises(ValueError, match="unknown method"):
         execute_run(config, 0)
+
+
+@pytest.mark.parametrize("key", ["bogus", "final_fit_tolerance", "variant", "seed"])
+def test_unknown_protocol_key_rejected(key):
+    config = tiny_config(repeats=1, **{key: 0.5})
+    with pytest.raises(ValueError, match="unknown protocol keys"):
+        execute_run(config, 0)
+
+
+@pytest.mark.parametrize("method", ["aim", "distaim"])
+def test_absent_protocol_keys_take_the_config_defaults(monkeypatch, method):
+    import fedsynth.harness as harness
+
+    seen = []
+
+    def capture(*args):  # keeps the protocol config, then stops the run
+        seen.append(args[-1])
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(harness, "run_aim" if method == "aim" else "run_distaim", capture)
+    config = tiny_config(method=method, repeats=1)
+    del config.protocol["rounds"]
+    execute_run(config, 4)
+    if method == "aim":
+        assert seen == [AimConfig(epsilon=5.0, rounds=None, max_model_size=1 << 16, seed=4)]
+    else:
+        # an absent ``rounds`` means annealing, not FedConfig's 10 rounds
+        assert seen == [FedConfig(epsilon=5.0, rounds=None, max_model_size=1 << 16, sample_rate=0.5, seed=4)]
 
 
 def test_file_partition_aligned_through_holdout(tmp_path):

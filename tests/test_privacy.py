@@ -193,24 +193,22 @@ def test_flaim_schedule_total_spend_identity(mode, T, s, d):
 
 
 def test_central_schedule_init_values():
-    sched, t_max = central_schedule_init(14, 0.9)
+    sched = central_schedule_init(14, 0.9)
     assert sched.sigma**2 == pytest.approx(224 / 0.81, rel=1e-12)
-    assert t_max == 224
-    sched2, _ = central_schedule_init(28, 0.9)
+    sched2 = central_schedule_init(28, 0.9)
     assert sched2.sigma**2 / sched.sigma**2 == pytest.approx(2.0, rel=1e-12)
-    sched16, _ = central_schedule_init(16, 1.0)
+    sched16 = central_schedule_init(16, 1.0)
     assert sched16.eps == pytest.approx(math.sqrt(0.8 / 256), rel=1e-12)
-    sched_fed, t_fed = central_schedule_init(14, 0.9, rounds_factor=8)
-    assert t_fed == 112
+    sched_fed = central_schedule_init(14, 0.9, rounds_factor=8)
+    assert sched_fed.sigma**2 == pytest.approx(112 / 0.81, rel=1e-12)
 
 
 def test_anneal_step():
     sched = NoiseSchedule(sigma=4.0, eps=0.1)
-    unchanged = anneal_step(sched, False)
-    assert unchanged.sigma == 4.0 and unchanged.eps == 0.1
-    once = anneal_step(sched, True)
+    once = anneal_step(sched)
+    assert sched.sigma == 4.0 and sched.eps == 0.1
     assert once.sigma == 2.0 and once.eps == 0.2
-    twice = anneal_step(once, True)
+    twice = anneal_step(once)
     assert twice.sigma == 1.0 and twice.eps == 0.4
 
 
@@ -220,8 +218,7 @@ def test_annealing_condition():
 
 
 def test_final_round_adjust_values():
-    sched = NoiseSchedule(sigma=1.0, eps=1.0)
-    adj = final_round_adjust(0.05, sched)
+    adj = final_round_adjust(0.05)
     assert adj.sigma**2 == pytest.approx(1 / 0.09, rel=1e-12)
     assert adj.eps == pytest.approx(0.2, rel=1e-12)
     spend = gaussian_cost(adj.sigma) + exponential_cost(adj.eps)
@@ -236,8 +233,7 @@ def test_final_round_trigger_branches():
 
 
 def test_final_round_adjust_multi_application_counts():
-    sched = NoiseSchedule(sigma=1.0, eps=1.0)
-    adj = final_round_adjust(0.08, sched, gauss_count=5, exp_count=2)
+    adj = final_round_adjust(0.08, gauss_count=5, exp_count=2)
     spend = 5 * gaussian_cost(adj.sigma) + 2 * exponential_cost(adj.eps)
     assert spend == pytest.approx(0.08, rel=1e-12)
 
@@ -259,7 +255,7 @@ def test_accountant_clamps_float_dust():
     acct.charge(0.9, "gaussian", 1)
     acct.charge(0.1 * (1 + 1e-12), "gaussian", 2)  # within tolerance
     assert acct.rho_used <= acct.rho_total
-    assert acct.replay_total() == acct.rho_used
+    assert sum(r["rho"] for r in acct.ledger()) == acct.rho_used
 
 
 def test_accountant_ledger_json():
@@ -267,6 +263,6 @@ def test_accountant_ledger_json():
 
     acct = PrivacyAccountant(rho_total=1.0)
     acct.charge(0.25, "exponential", 1, eps=0.3)
-    payload = json.loads(acct.to_json())
+    payload = json.loads(json.dumps({"charges": acct.ledger()}))  # as run outputs write it
     assert payload["charges"][0]["mechanism"] == "exponential"
     assert payload["charges"][0]["params"]["eps"] == 0.3

@@ -2,69 +2,104 @@ import numpy as np
 import pytest
 
 from fedsynth.rng import fork
-from fedsynth.secagg import (
-    CommsLedger,
-    ShareAccumulator,
-    aggregate,
-    reconstruct,
-    secagg_round,
-    share,
-)
+from fedsynth.secagg import CommsLedger, ShareAccumulator, secagg_round, share
+
+
+def reconstruct(shares: list[np.ndarray]) -> np.ndarray:
+    """Counts from a complete share set: wrapping uint64 sum, read as int64."""
+    total = np.zeros_like(shares[0])
+    for s in shares:
+        total += s
+    return total.view(np.int64).astype(np.float64)
 
 
 def test_share_roundtrip_random_counts():
     rng = fork(0, "roundtrip")
     counts = rng.integers(0, 10_000, size=64)
-    shares = share(counts, (0, 1), rng, parties=3)
+    shares = share(counts, rng, parties=3)
+    assert all(s.dtype == np.uint64 for s in shares)
     np.testing.assert_array_equal(reconstruct(shares), counts.astype(float))
 
 
 def test_share_bytes_charged():
     ledger = CommsLedger()
-    share(np.arange(64), (1,), fork(1), parties=3, ledger=ledger, client=5, round_index=2)
+    share(np.arange(64), fork(1), parties=3, ledger=ledger, client=5, round_index=2)
     assert ledger.entries == [
         {"client": 5, "round": 2, "bytes_sent": 64 * 8 * 3, "bytes_received": 0, "protocol": "share"}
     ]
 
 
 def test_shares_of_zero_vector_look_uniform():
-    shares = share(np.zeros(256, dtype=int), (0,), fork(3, "zero"), parties=3)
+    shares = share(np.zeros(256, dtype=int), fork(3, "zero"), parties=3)
     for s in shares[:-1]:
-        values = s.values.astype(np.float64)
+        values = s.astype(np.float64)
         # spread across the full 64-bit range, not constant
         assert values.max() > 2**62
-        assert len(np.unique(s.values)) > 250
+        assert len(np.unique(s)) > 250
 
 
 def test_share_requires_integer_counts():
     with pytest.raises(ValueError):
-        share(np.array([1.5, 2.0]), (0,), fork(0))
+        share(np.array([1.5, 2.0]), fork(0))
     with pytest.raises(ValueError):
-        share(np.array([1, 2]), (0,), fork(0), parties=1)
+        share(np.array([1, 2]), fork(0), parties=1)
 
 
 def test_aggregate_additivity_and_identity():
-    rng = fork(4, "agg")
-    a = share(np.array([1, 2]), (0,), rng)
-    b = share(np.array([3, 4]), (0,), rng)
-    np.testing.assert_array_equal(aggregate([a, b]), [4.0, 6.0])
-    np.testing.assert_array_equal(aggregate([a]), [1.0, 2.0])
+    acc = ShareAccumulator([(0,)])
+    acc.add_client({(0,): np.array([1, 2])}, 3)
+    np.testing.assert_array_equal(acc.current((0,)), [1.0, 2.0])
+    acc.add_client({(0,): np.array([3, 4])}, 7)
+    np.testing.assert_array_equal(acc.current((0,)), [4.0, 6.0])
 
 
 def test_aggregate_order_invariance():
-    rng = fork(5, "perm")
-    groups = [share(np.array([i, 2 * i, 17]), (0,), rng) for i in range(1, 6)]
-    expected = aggregate(groups)
-    np.testing.assert_array_equal(aggregate(groups[::-1]), expected)
-    np.testing.assert_array_equal(aggregate([groups[2], groups[0], groups[4], groups[1], groups[3]]), expected)
+    answers = [{(0,): np.array([i, 2 * i, 17])} for i in range(1, 6)]
+
+    def pooled(order):
+        acc = ShareAccumulator([(0,)])
+        for i in order:
+            acc.add_client(answers[i], 1)
+        return acc.current((0,))
+
+    expected = pooled(range(5))
+    np.testing.assert_array_equal(expected, [15.0, 30.0, 85.0])
+    np.testing.assert_array_equal(pooled(range(4, -1, -1)), expected)
+    np.testing.assert_array_equal(pooled([2, 0, 4, 1, 3]), expected)
 
 
 def test_aggregate_rejects_mismatched_queries():
-    rng = fork(6)
-    a = share(np.array([1]), (0,), rng)
-    b = share(np.array([1]), (1,), rng)
-    with pytest.raises(ValueError, match="mismatched"):
-        aggregate([a, b])
+    acc = ShareAccumulator([(0,)])
+    with pytest.raises(KeyError):
+        acc.add_client({(1,): np.array([1])}, 1)  # an answer to another query
+    with pytest.raises(KeyError):
+        acc.current((1,))
+    with pytest.raises(KeyError, match="no contributions"):
+        acc.current((0,))
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_accumulator_matches_sharing_oracle(parties):
+    """The accumulator's sums and per-client bytes equal real ``parties``-way
+    sharing of the same answers followed by a modular sum."""
+    rng = fork(7, "oracle", parties)
+    keys = [(0,), (0, 1), (2,)]
+    cells = {(0,): 3, (0, 1): 12, (2,): 5}
+    clients = [{key: rng.integers(0, 40, size=n) for key, n in cells.items()} for _ in range(4)]
+    clients.insert(2, {key: np.zeros(n, dtype=np.int64) for key, n in cells.items()})  # empty client
+    acc, acc_ledger = ShareAccumulator(keys, parties=parties), CommsLedger()
+    shares, ref_ledger = {key: [] for key in keys}, CommsLedger()
+    for k, answers in enumerate(clients):
+        size = int(answers[(0,)].sum())
+        acc.add_client(answers, size, acc_ledger, client=k, round_index=1)
+        for key in keys:
+            shares[key] += share(answers[key], rng, parties, ref_ledger, k, 1, protocol="distaim")
+    for key in keys:
+        np.testing.assert_array_equal(acc.current(key), reconstruct(shares[key]))
+        np.testing.assert_array_equal(acc.current(key), sum(c[key] for c in clients))
+    assert acc_ledger.client_totals() == ref_ledger.client_totals()
+    assert acc_ledger.client_totals()[2] == sum(cells.values()) * 8 * parties
+    assert acc_ledger.to_csv() == ref_ledger.to_csv()
 
 
 def test_accumulator_running_sum():
