@@ -39,6 +39,7 @@ from .rng import fork
 from .workload import Workload, complete_workload
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+FIT_TOLERANCE = 1e-4  # relative-decrease tolerance of the per-round fits
 
 
 @dataclass
@@ -50,11 +51,8 @@ class AimConfig:
     gauss_frac: float = 0.9
     fit_iters: int = 100
     final_fit_iters: int = 1000
-    fit_tolerance: float = 1e-4
     final_fit_tolerance: float = 1e-7
-    max_cells: int = 1 << 26
     seed: int = 0
-    anneal_rounds_factor: int = 16
     noiseless: bool = False  # test hook: exact measurements, argmax selection
 
 
@@ -87,26 +85,39 @@ def filter_by_size(
     return admitted
 
 
+def _model_answers(
+    model: ModelState, workload: Workload, candidates: list[int], normalize: bool
+) -> dict[int, np.ndarray]:
+    """The model's answer to each candidate, per record with ``normalize``."""
+    answers = {i: model.marginal_counts(workload.queries[i]) for i in candidates}
+    return {i: normalized_counts(a) for i, a in answers.items()} if normalize else answers
+
+
 def _aim_utilities(
     answer: Callable[[tuple[int, ...]], np.ndarray],
-    model: ModelState,
+    model_answers: dict[int, np.ndarray],
     workload: Workload,
     candidates: list[int],
     sigma: float,
     mass: float | None = None,
+    skew: dict[int, float] | None = None,
 ) -> np.ndarray:
-    """Weighted L1 gap between each candidate's answer and the model's,
-    less the expected noise; with ``mass``, gaps compare per-record
-    frequencies and the noise term is divided by the mass."""
+    """AIM's quality score of each candidate: the weighted L1 gap between
+    its answer and the model's, less the expected noise and the candidate's
+    ``skew`` penalty.  With ``mass``, gaps compare per-record frequencies
+    (``model_answers`` must be normalized too) and the noise term is divided
+    by the mass, floored at 1."""
+    skew = skew or {}
     scores = np.empty(len(candidates))
     for j, i in enumerate(candidates):
         q = workload.queries[i]
-        counts, fitted = answer(q.attrs), model.marginal_counts(q)
+        counts = answer(q.attrs)
         penalty = ROOT_2_OVER_PI * sigma * q.cardinality
         if mass is not None:
-            counts, fitted = normalized_counts(counts), normalized_counts(fitted)
+            counts = normalized_counts(counts)
             penalty /= max(mass, 1.0)
-        scores[j] = workload.weights[i] * (float(np.abs(counts - fitted).sum()) - penalty)
+        gap = float(np.abs(counts - model_answers[i]).sum())
+        scores[j] = workload.weights[i] * (gap - penalty - skew.get(i, 0.0))
     return scores
 
 
@@ -126,6 +137,7 @@ class Loop:
 
     retries_empty = False  # whether a round nobody joined is retried instead of counted
     gauss_per_round = exp_per_round = 1
+    anneal_rounds_factor = 16  # an annealing start budgets for this many rounds per attribute
 
     def __init__(self, data: DiscreteDataset, completed: Workload, config: AimConfig, n_init: int,
                  cap: float, local_rounds: int = 1, mode: str = "naive"):
@@ -140,7 +152,7 @@ class Loop:
         if self.fixed:
             self.schedule = flaim_schedule(config.rounds, local_rounds, n_init, self.rho, config.gauss_frac, mode)
         else:
-            self.schedule = central_schedule_init(len(self.domain), self.rho, config.anneal_rounds_factor)
+            self.schedule = central_schedule_init(len(self.domain), self.rho, self.anneal_rounds_factor)
         self.sensitivity = completed.max_weight()
         self.measurements: list[Measurement] = []
         self.rounds: list[dict] = []
@@ -162,8 +174,8 @@ class Loop:
         return fit(
             self.measurements if measurements is None else measurements, self.domain,
             iterations=cfg.final_fit_iters if final else cfg.fit_iters,
-            tolerance=cfg.final_fit_tolerance if final else cfg.fit_tolerance,
-            total=total, warm_start=warm_start, max_cells=cfg.max_cells,
+            tolerance=cfg.final_fit_tolerance if final else FIT_TOLERANCE,
+            total=total, warm_start=warm_start,
         )
 
     def measure(self, query: MarginalQuery, counts: np.ndarray, rng, scale: float = 1.0) -> Measurement:
@@ -278,7 +290,8 @@ class AimLoop(Loop):
         cfg, schedule, completed = self.config, self.schedule, self.completed
         key = self.spent + 1  # rng path of the round, whatever was retried before it
         candidates = filter_by_size(completed, self.model, self.accountant.rho_used, self.rho, cfg.max_model_size)
-        scores = _aim_utilities(self.answer, self.model, completed, candidates, schedule.sigma, self.mass)
+        model_answers = _model_answers(self.model, completed, candidates, self.mass is not None)
+        scores = _aim_utilities(self.answer, model_answers, completed, candidates, schedule.sigma, self.mass)
         self.accountant.charge(exponential_cost(schedule.eps), "exponential_select", self.t, eps=schedule.eps)
         if cfg.noiseless:
             pick = int(np.argmax(scores))

@@ -142,21 +142,12 @@ def prepare_dataset(
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write ``text`` as UTF-8, atomically (see :func:`atomic_write_bytes`)."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .central import ROOT_2_OVER_PI, AimConfig, AimLoop, Loop, filter_by_size
+from .central import AimConfig, AimLoop, Loop, _model_answers, filter_by_size
+from .central import _aim_utilities as _local_utilities  # kept by name; perfbench traces client scoring here
 from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal, normalized_counts
 from .model import Measurement, ModelState, component_bytes, merged_components
 from .model import fit  # noqa: F401  (kept as a module attribute; perfbench patches it here)
@@ -46,16 +47,11 @@ VARIANTS = ("naive", "oracle", "private")
 @dataclass
 class FedConfig(AimConfig):
     rounds: int | None = 10  # None selects budget annealing
-    anneal_rounds_factor: int = 8
     sample_rate: float = 0.1
     local_rounds: int = 1
     variant: str = "naive"  # federated only
     parties: int = 3
     normalize_scores: bool = True
-    # ablation/test hooks
-    force_zero_skew: bool = False
-    plain_sensitivity: bool = False
-    naive_weighting: bool = False
 
     def __post_init__(self):
         if not 0 < self.sample_rate <= 1:
@@ -109,13 +105,6 @@ def _sample_participants(config: FedConfig, partition: ClientPartition, *path) -
     return [int(k) for k in np.nonzero(mask)[0]]
 
 
-def _model_answers(
-    model: ModelState, workload: Workload, candidates: list[int], normalize: bool
-) -> dict[int, np.ndarray]:
-    answers = {i: model.marginal_counts(workload.queries[i]) for i in candidates}
-    return {i: normalized_counts(a) for i, a in answers.items()} if normalize else answers
-
-
 # ---------------------------------------------------------------------------
 # distributed protocol
 
@@ -127,10 +116,11 @@ class _DistAimLoop(AimLoop):
     initializes the model."""
 
     retries_empty = True
+    anneal_rounds_factor = 8
 
     def __init__(self, data, partition, completed, config):
         self.one_ways = [q for q in completed.queries if len(q) == 1]
-        attempts = config.rounds or config.anneal_rounds_factor * len(data.domain)
+        attempts = config.rounds or self.anneal_rounds_factor * len(data.domain)
         super().__init__(data, completed, config, n_init=len(self.one_ways), cap=40 * attempts + 400)
         self.partition = partition
         self.answers = _client_answers(data, partition, list(completed.queries))
@@ -198,36 +188,14 @@ def run_distaim(
 # federated protocol
 
 
-def _local_utilities(
-    client: dict[tuple[int, ...], np.ndarray],
-    model_answers: dict[int, np.ndarray],
-    workload: Workload,
-    candidates: list[int],
-    sigma: float,
-    client_size: int,
-    skew: dict[int, float],
-    normalize: bool,
-) -> np.ndarray:
-    scores = np.empty(len(candidates))
-    for j, i in enumerate(candidates):
-        q = workload.queries[i]
-        counts = client[q.attrs]
-        if normalize:
-            gap = float(np.abs(normalized_counts(counts) - model_answers[i]).sum())
-            penalty = ROOT_2_OVER_PI * sigma * q.cardinality / max(client_size, 1)
-        else:
-            gap = float(np.abs(counts - model_answers[i]).sum())
-            penalty = ROOT_2_OVER_PI * sigma * q.cardinality
-        scores[j] = workload.weights[i] * (gap - penalty - skew.get(i, 0.0))
-    return scores
-
-
 class _FlaimLoop(Loop):
     """Clients select (and, with several local rounds, measure) locally
     against the broadcast model; the server admits their selections under
     the size cap and measures each through secure aggregation.  A round
     nobody joins is forfeited; the private variant starts from a uniform
     model and refreshes every one-way each round."""
+
+    anneal_rounds_factor = 8
 
     def __init__(self, data, partition, completed, config):
         d = len(data.domain)
@@ -245,7 +213,7 @@ class _FlaimLoop(Loop):
         self.answers = _client_answers(data, partition, all_queries)
         self.sizes = partition.sizes()
         self.global_answers = {q.attrs: evaluate_marginal(data, q).counts for q in all_queries}
-        if config.variant in ("oracle", "private") and not config.plain_sensitivity:
+        if config.variant in ("oracle", "private"):
             self.sensitivity *= 2.0
         self.ledger = CommsLedger()
         self.oneway_estimates: dict[int, np.ndarray] = {}  # private proxy cache
@@ -263,11 +231,10 @@ class _FlaimLoop(Loop):
         cfg, sigma, t = self.config, self.schedule.sigma, self.t
         # contributor mass: the private variant self-estimates it from the
         # noisy cells; the others may treat sizes as public.  It weights the
-        # measurement (except under naive weighting) and normalizes its scale.
-        weighting = "naive" if cfg.naive_weighting else cfg.variant
-        if weighting != "private":
+        # measurement (except for the naive variant) and normalizes its scale.
+        if not self.private:
             size_est = float(sum(int(self.sizes[k]) for k in contributors))
-            if weighting == "oracle" and size_est == 0:
+            if cfg.variant == "oracle" and size_est == 0:
                 self.unmeasured.append(list(query.attrs))
                 return None
         vectors = [self.answers[k][query.attrs] for k in contributors]
@@ -275,9 +242,9 @@ class _FlaimLoop(Loop):
             vectors, 0.0 if cfg.noiseless else sigma, fork(cfg.seed, "aggmeasure", t, *tag),
             self.ledger, clients=contributors, round_index=t, protocol=protocol,
         )
-        if weighting == "private":
+        if self.private:
             size_est = max(float(agg.sum()), 1.0)
-        weight = (1.0 if weighting == "naive" else size_est) / sigma
+        weight = (1.0 if cfg.variant == "naive" else size_est) / sigma
         scaled = agg * (self.data.n_records / max(size_est, 1.0)) if cfg.normalize_scores else agg
         return Measurement(t, query, scaled, sigma, weight)
 
@@ -310,8 +277,6 @@ class _FlaimLoop(Loop):
     def client_skew(self, k: int, candidates: list[int], model_oneways) -> dict[int, float]:
         """Skew penalty of each candidate for client ``k``."""
         client = self.answers[k]
-        if self.config.force_zero_skew:
-            return {}
         if self.config.variant == "oracle":
             cached = self.oracle_skew.get(k)
             if cached is None:
@@ -346,8 +311,8 @@ class _FlaimLoop(Loop):
                     completed, local_model, rho_used, self.rho, cfg.max_model_size, candidates
                 )
             scores = _local_utilities(
-                client, local_answers, completed, step_candidates, sigma, size, skew,
-                cfg.normalize_scores,
+                client.__getitem__, local_answers, completed, step_candidates, sigma,
+                size if cfg.normalize_scores else None, skew,
             )
             if cfg.noiseless:
                 pick = int(np.argmax(scores))

@@ -245,6 +245,8 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
     unknown = set(config.protocol) - set(PROTOCOL_KEYS)
     if unknown:
         raise ValueError(f"unknown protocol keys {sorted(unknown)}; expected some of {PROTOCOL_KEYS}")
+    if "gauss_frac" in config.protocol and config.protocol.get("rounds") is None:
+        raise ValueError("gauss_frac needs a fixed number of rounds; annealing uses its own split")
     result = RunResult(config_hash=config.hash(), method=method, seed=run_seed)
     start = time.perf_counter()
     try:

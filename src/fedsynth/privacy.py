@@ -153,15 +153,10 @@ def gaussian_mechanism(
     sigma: float,
     rng: np.random.Generator,
     sensitivity: float = 1.0,
-    accountant: PrivacyAccountant | None = None,
-    round_index: int = 0,
-    label: str = "gaussian",
 ) -> np.ndarray:
     """Add N(0, (sensitivity * sigma)^2) noise per cell; cost 1/(2 sigma^2)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if accountant is not None:
-        accountant.charge(gaussian_cost(sigma), label, round_index, sigma=sigma)
     counts = np.asarray(counts, dtype=np.float64)
     return counts + rng.normal(0.0, sensitivity * sigma, size=counts.shape)
 

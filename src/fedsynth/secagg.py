@@ -151,7 +151,6 @@ class ShareAccumulator:
             tuple(k): None for k in query_keys
         }
         self.mass = 0.0
-        self.n_contributors = 0
 
     def add_client(
         self,
@@ -182,7 +181,6 @@ class ShareAccumulator:
             else:
                 self.sums[key] += encoded
         self.mass += client_size
-        self.n_contributors += 1
 
     def current(self, key: tuple[int, ...]) -> np.ndarray:
         stored = self.sums[tuple(key)]

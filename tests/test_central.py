@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fedsynth.central import AimConfig, ROOT_2_OVER_PI, filter_by_size, run_aim
-from fedsynth.domain import evaluate_marginal
+from fedsynth.central import FIT_TOLERANCE, AimConfig, ROOT_2_OVER_PI, _aim_utilities, filter_by_size, run_aim
+from fedsynth.domain import Domain, MarginalQuery, evaluate_marginal, normalized_counts
 from fedsynth.model import ModelState
 from fedsynth.partition import synthfs
 from fedsynth.privacy import exponential_cost, gaussian_cost
-from fedsynth.workload import complete_workload, random_workload, workload_error
+from fedsynth.workload import Workload, complete_workload, random_workload, workload_error
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_noiseless_hook_selects_exhaustive_argmax(small_problem):
         Measurement(0, MarginalQuery.make(dom, (a,)), evaluate_marginal(data, MarginalQuery.make(dom, (a,))).counts, sigma, 1 / sigma)
         for a in range(d)
     ]
-    model = fit(measurements, dom, iterations=cfg.fit_iters, tolerance=cfg.fit_tolerance)
+    model = fit(measurements, dom, iterations=cfg.fit_iters, tolerance=FIT_TOLERANCE)
     rho_used = d * gaussian_cost(sigma)
     eps = math.sqrt(8 * 0.1 * rho / T)
     expected = []
@@ -99,10 +99,35 @@ def test_noiseless_hook_selects_exhaustive_argmax(small_problem):
         rho_used += gaussian_cost(sigma) + exponential_cost(eps)
         measurements.append(Measurement(t, chosen, exact[chosen.attrs], sigma, 1 / sigma))
         model = fit(
-            measurements, dom, iterations=cfg.fit_iters, tolerance=cfg.fit_tolerance,
+            measurements, dom, iterations=cfg.fit_iters, tolerance=FIT_TOLERANCE,
             warm_start=model,
         )
     assert logged == expected
+
+
+def test_aim_utilities_hand_values():
+    dom = Domain.make(["a", "b"], [2, 3])
+    workload = Workload((MarginalQuery.make(dom, (0,)), MarginalQuery.make(dom, (0, 1))), (2.0, 0.5))
+    answers = {(0,): np.array([6.0, 2.0]), (0, 1): np.array([1.0, 0.0, 2.0, 0.0, 3.0, 2.0])}
+    raw = {0: np.array([4.0, 4.0]), 1: np.array([2.0, 2.0, 0.0, 0.0, 2.0, 2.0])}
+    per_record = {i: normalized_counts(a) for i, a in raw.items()}
+    sigma = 0.5 / ROOT_2_OVER_PI  # noise terms 1 and 3 for the 2- and 6-cell queries
+    skew = {0: 0.5, 1: 2.0}
+
+    def scores(model_answers, **kwargs):
+        return _aim_utilities(answers.__getitem__, model_answers, workload, [1, 0], sigma, **kwargs)
+
+    # raw counts: L1 gaps 6 and 4
+    np.testing.assert_allclose(scores(raw), [0.5 * (6 - 3), 2.0 * (4 - 1)])
+    # the skew penalty is weighted by w_q like the rest of the score
+    np.testing.assert_allclose(scores(raw, skew=skew), [0.5 * (6 - 3 - 2), 2.0 * (4 - 1 - 0.5)])
+    # per record: gaps 0.75 and 0.5, noise terms divided by the mass
+    np.testing.assert_allclose(scores(per_record, mass=4), [0.5 * (0.75 - 3 / 4), 2.0 * (0.5 - 1 / 4)], atol=1e-12)
+    np.testing.assert_allclose(
+        scores(per_record, mass=4, skew=skew), [0.5 * (0.75 - 3 / 4 - 2), 2.0 * (0.5 - 1 / 4 - 0.5)]
+    )
+    # no mass at all counts as one record
+    np.testing.assert_allclose(scores(per_record, mass=0), [0.5 * (0.75 - 3), 2.0 * (0.5 - 1)])
 
 
 def test_perfectly_fit_query_has_negative_utility(small_problem):

@@ -65,6 +65,16 @@ def test_unknown_protocol_key_exit_one(tmp_path, capsys):
     assert "final_fit_tolerance" in capsys.readouterr().err
 
 
+def test_gauss_frac_under_annealing_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    write_experiment_config(cfg, str(tmp_path / "out"))
+    config = json.loads(cfg.read_text())
+    config["protocol"].update(gauss_frac=0.8, rounds=None)
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--seed", "7", "--jobs", "1"]) == 1
+    assert "gauss_frac" in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(tmp_path):
     assert main(["run", "--config", "x.json", "--seed", "1", "--frobnicate"]) == 1
 

@@ -186,6 +186,19 @@ def test_unknown_protocol_key_rejected(key):
         execute_run(config, 0)
 
 
+@pytest.mark.parametrize("rounds", ["absent", None])
+def test_gauss_frac_requires_fixed_rounds(rounds):
+    assert execute_run(tiny_config(repeats=1, gauss_frac=0.8), 0).status == "ok"
+    config = tiny_config(repeats=1, gauss_frac=0.8)
+    if rounds == "absent":
+        del config.protocol["rounds"]
+    else:
+        config.protocol["rounds"] = rounds
+    # annealing fixes its own split, so the key would be silently ignored
+    with pytest.raises(ValueError, match="gauss_frac"):
+        execute_run(config, 0)
+
+
 @pytest.mark.parametrize("method", ["aim", "distaim"])
 def test_absent_protocol_keys_take_the_config_defaults(monkeypatch, method):
     import fedsynth.harness as harness

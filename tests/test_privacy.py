@@ -103,13 +103,6 @@ def test_gaussian_sensitivity_scales_noise():
     assert np.abs(noise).mean() == pytest.approx(3.0 * math.sqrt(2 / math.pi), rel=0.03)
 
 
-def test_gaussian_accountant_charge():
-    acct = PrivacyAccountant(rho_total=1.0)
-    gaussian_mechanism(np.zeros(4), 1.0, fork(0), accountant=acct, round_index=3)
-    assert acct.rho_used == pytest.approx(0.5)
-    assert acct.records[0]["round"] == 3
-
-
 def test_gaussian_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
         gaussian_mechanism(np.zeros(2), 0.0, fork(0))

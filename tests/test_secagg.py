@@ -109,7 +109,6 @@ def test_accumulator_running_sum():
     np.testing.assert_array_equal(acc.current((0,)), [3.0, 2.0])
     np.testing.assert_array_equal(acc.current((1,)), [5.0, 6.0])
     assert acc.mass == 14
-    assert acc.n_contributors == 2
 
 
 def test_secagg_round_exact_when_noiseless():
