@@ -4,7 +4,6 @@ from .domain import (
     DiscreteDataset,
     Domain,
     MarginalQuery,
-    MarginalTable,
     evaluate_marginal,
     normalized_counts,
 )
@@ -25,7 +24,6 @@ from .privacy import (
     NoiseSchedule,
     PrivacyAccountant,
     exponential_mechanism,
-    flaim_schedule,
     gaussian_mechanism,
     rho_from_eps_delta,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "FedResult",
     "HeterogeneityReport",
     "MarginalQuery",
-    "MarginalTable",
     "Measurement",
     "ModelState",
     "NoiseSchedule",
@@ -55,7 +52,6 @@ __all__ = [
     "evaluate_marginal",
     "exponential_mechanism",
     "fit",
-    "flaim_schedule",
     "gaussian_mechanism",
     "heterogeneity_report",
     "mixture_dataset",

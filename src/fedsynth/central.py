@@ -26,12 +26,10 @@ from .privacy import (
     PrivacyAccountant,
     annealing_condition,
     anneal_step,
-    central_schedule_init,
+    budget_schedule,
     exponential_cost,
     exponential_mechanism,
-    final_round_adjust,
     final_round_triggered,
-    flaim_schedule,
     gaussian_cost,
     gaussian_mechanism,
 )
@@ -54,6 +52,14 @@ class AimConfig:
     final_fit_tolerance: float = 1e-7
     seed: int = 0
     noiseless: bool = False  # test hook: exact measurements, argmax selection
+
+    def __post_init__(self):
+        if self.rounds is not None and self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if not 0 < self.gauss_frac < 1:
+            raise ValueError("gauss_frac must lie in (0, 1)")
+        if self.rounds is None and self.gauss_frac != 0.9:
+            raise ValueError("gauss_frac needs a fixed number of rounds; annealing splits its budget 0.9/0.1")
 
 
 @dataclass
@@ -130,29 +136,39 @@ class Loop:
     fit.  A protocol supplies ``initialize`` (its first measurements and
     model) and ``step`` (one round's selections and measurements, returning
     the round's own log fields and the queries it measured, or ``None`` when
-    nobody was sampled).  A fixed schedule budgets for ``n_init`` one-way
-    measurements and ``local_rounds`` selections a round; ``cap`` bounds the
-    attempted rounds.
+    nobody was sampled).  Every schedule is sized from the counts a protocol
+    declares: ``n_init`` initial one-way measurements, and
+    ``gauss_per_round`` measurements and ``exp_per_round`` selections a
+    round.  ``cap`` bounds the attempted rounds.
     """
 
     retries_empty = False  # whether a round nobody joined is retried instead of counted
     gauss_per_round = exp_per_round = 1
     anneal_rounds_factor = 16  # an annealing start budgets for this many rounds per attribute
 
-    def __init__(self, data: DiscreteDataset, completed: Workload, config: AimConfig, n_init: int,
-                 cap: float, local_rounds: int = 1, mode: str = "naive"):
+    def __init__(self, data: DiscreteDataset, completed: Workload, config: AimConfig, n_init: int, cap: float):
+        largest_oneway = max(data.domain.cardinalities) * 8
+        if config.max_model_size <= largest_oneway:
+            raise ValueError(
+                f"max_model_size={config.max_model_size} bytes cannot hold the largest "
+                f"one-way table ({largest_oneway} bytes)"
+            )
         self.data = data
         self.domain = data.domain
         self.completed = completed
         self.config = config
         self.cap = cap
         self.accountant = PrivacyAccountant.from_eps_delta(config.epsilon, config.delta)
-        self.rho = self.accountant.rho_total
+        self.rho = rho = self.accountant.rho_total
         self.fixed = config.rounds is not None
         if self.fixed:
-            self.schedule = flaim_schedule(config.rounds, local_rounds, n_init, self.rho, config.gauss_frac, mode)
-        else:
-            self.schedule = central_schedule_init(len(self.domain), self.rho, self.anneal_rounds_factor)
+            r, T = config.gauss_frac, config.rounds
+            self.schedule = budget_schedule(
+                r * rho, n_init + T * self.gauss_per_round, (1.0 - r) * rho, T * self.exp_per_round
+            )
+        else:  # sigma_0^2 = f / (0.9 rho): a 0.9/0.1 split over 2f measurements and f selections
+            f = self.anneal_rounds_factor * len(self.domain)
+            self.schedule = budget_schedule(0.9 * rho, 2 * f, 0.1 * rho, f)
         self.sensitivity = completed.max_weight()
         self.measurements: list[Measurement] = []
         self.rounds: list[dict] = []
@@ -201,10 +217,9 @@ class Loop:
     def schedule_final_round(self) -> None:
         """Under annealing, switch to parameters that spend the rest of the
         budget in one round once less than two rounds' worth remains."""
-        remaining = self.accountant.remaining
-        counts = (self.gauss_per_round, self.exp_per_round)
-        if not self.fixed and final_round_triggered(remaining, self.schedule, *counts):
-            self.schedule = final_round_adjust(remaining, *counts)
+        remaining, g, e = self.accountant.remaining, self.gauss_per_round, self.exp_per_round
+        if not self.fixed and final_round_triggered(remaining, self.schedule, g, e):
+            self.schedule = budget_schedule(0.9 * remaining, g, 0.1 * remaining, e)
             self.finishing = True
 
     def stopped(self) -> bool:
@@ -275,9 +290,9 @@ class AimLoop(Loop):
 
     def initialize(self) -> ModelState:
         data, rng = self.data, fork(self.config.seed, "init")
-        self.exact = {q.attrs: evaluate_marginal(data, q).counts for q in self.completed.queries}
+        self.exact = {q.attrs: evaluate_marginal(data, q) for q in self.completed.queries}
         one_ways = [MarginalQuery.make(self.domain, (a,)) for a in range(len(self.domain))]
-        model = self.measure_init(one_ways, lambda q: self.measure(q, evaluate_marginal(data, q).counts, rng))
+        model = self.measure_init(one_ways, lambda q: self.measure(q, evaluate_marginal(data, q), rng))
         self.rounds.append(
             {"t": 0, "phase": "init", "sigma": self.schedule.sigma, "eps": self.schedule.eps,
              "rho_used": self.accountant.rho_used}
@@ -310,15 +325,8 @@ class AimLoop(Loop):
 
 def run_aim(data: DiscreteDataset, workload: Workload, config: AimConfig) -> AimResult:
     """Run the central loop on one dataset and return the fitted model."""
-    domain = data.domain
-    d = len(domain)
-    completed = complete_workload(domain, workload)
-    largest_oneway = max(domain.cardinalities) * 8
-    if config.max_model_size <= largest_oneway:
-        raise ValueError(
-            f"max_model_size={config.max_model_size} bytes cannot hold the largest "
-            f"one-way table ({largest_oneway} bytes)"
-        )
+    d = len(data.domain)
+    completed = complete_workload(data.domain, workload)
     cap = math.inf if config.rounds is not None else 200 * d + 200
     loop = AimLoop(data, completed, config, n_init=d, cap=cap)
     model = loop.run()

@@ -17,7 +17,7 @@ import sys
 
 from . import data_io, harness
 from .data_io import atomic_write_text, save_dataset, save_partition
-from .partition import partition_cluster_skew, partition_iid, partition_label_skew, synthfs
+from .partition import synthfs
 from .privacy import implied_charge
 
 EXIT_OK = 0
@@ -118,13 +118,10 @@ def cmd_partition(args) -> int:
     seed = _resolve_seed(args)
     _check_overwrite(args.out, args.force)
     data = data_io.load_dataset(args.data)
-    if args.kind == "iid":
-        part = partition_iid(data, args.clients, seed)
-    elif args.kind == "label_skew":
-        class_attr = args.class_attr if args.class_attr is not None else data.domain.attributes[-1]
-        part = partition_label_skew(data, args.clients, class_attr, args.beta, seed)
-    else:
-        part = partition_cluster_skew(data, args.clients, seed)
+    spec = {"kind": args.kind, "clients": args.clients, "beta": args.beta}
+    if args.class_attr is not None:
+        spec["class_attr"] = args.class_attr
+    part = harness.build_partition(spec, data, None, seed)
     save_partition(args.out, part.assignments)
     print(f"partitioned {len(part)} rows over {part.n_clients} clients -> {args.out}")
     return EXIT_OK

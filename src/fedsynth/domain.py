@@ -9,7 +9,7 @@ ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,28 +79,6 @@ class MarginalQuery:
         return len(self.attrs)
 
 
-@dataclass(frozen=True)
-class MarginalTable:
-    """Counts over the cells of one marginal query."""
-
-    query: MarginalQuery
-    counts: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.float64)
-        if counts.shape != (self.query.cardinality,):
-            raise ValueError(
-                f"counts length {counts.shape} does not match query cardinality {self.query.cardinality}"
-            )
-        counts = counts.copy()
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-
 class DiscreteDataset:
     """Integer-encoded rows over a :class:`Domain`."""
 
@@ -130,10 +108,10 @@ class DiscreteDataset:
         return DiscreteDataset(self.domain, self.rows[np.asarray(indices)], validate=False)
 
     def marginal_counts(self, query: MarginalQuery) -> np.ndarray:
-        return evaluate_marginal(self, query).counts
+        return evaluate_marginal(self, query)
 
 
-def evaluate_marginal(data: DiscreteDataset, query: MarginalQuery) -> MarginalTable:
+def evaluate_marginal(data: DiscreteDataset, query: MarginalQuery) -> np.ndarray:
     """Exact counts of ``data`` over the cells of ``query``.
 
     Cell ``j`` counts rows whose projection onto the query attributes equals
@@ -145,10 +123,9 @@ def evaluate_marginal(data: DiscreteDataset, query: MarginalQuery) -> MarginalTa
             raise IndexError(f"attribute index {a} out of range")
     shape = data.domain.shape(query.attrs)
     if data.n_records == 0:
-        return MarginalTable(query, np.zeros(query.cardinality))
+        return np.zeros(query.cardinality)
     flat = np.ravel_multi_index(tuple(data.rows[:, a] for a in query.attrs), dims=shape)
-    counts = np.bincount(flat, minlength=query.cardinality).astype(np.float64)
-    return MarginalTable(query, counts)
+    return np.bincount(flat, minlength=query.cardinality).astype(np.float64)
 
 
 def normalized_counts(counts: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ class FedConfig(AimConfig):
     normalize_scores: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 < self.sample_rate <= 1:
             raise ValueError("sample_rate must lie in (0, 1]")
         if self.local_rounds < 1:
@@ -201,18 +202,18 @@ class _FlaimLoop(Loop):
         d = len(data.domain)
         self.private = config.variant == "private"
         s = config.local_rounds
-        cap = math.inf if config.rounds is not None else 40 * d + 400
-        super().__init__(data, completed, config, n_init=d, cap=cap, local_rounds=s,
-                         mode="private" if self.private else "naive")
+        # the private variant measures no init one-ways but refreshes all d each round
         self.gauss_per_round = s + d if self.private else s
         self.exp_per_round = s
+        cap = math.inf if config.rounds is not None else 40 * d + 400
+        super().__init__(data, completed, config, n_init=0 if self.private else d, cap=cap)
         self.partition = partition
         self.one_ways = [MarginalQuery.make(data.domain, (a,)) for a in range(d)]
         known = {q.attrs for q in completed.queries}
         all_queries = list(completed.queries) + [q for q in self.one_ways if q.attrs not in known]
         self.answers = _client_answers(data, partition, all_queries)
         self.sizes = partition.sizes()
-        self.global_answers = {q.attrs: evaluate_marginal(data, q).counts for q in all_queries}
+        self.global_answers = {q.attrs: evaluate_marginal(data, q) for q in all_queries}
         if config.variant in ("oracle", "private"):
             self.sensitivity *= 2.0
         self.ledger = CommsLedger()
@@ -345,8 +346,8 @@ class _FlaimLoop(Loop):
         model_oneways = (
             {a: model.marginal_counts(q) for a, q in enumerate(self.one_ways)} if self.private else {}
         )
-        s, sigma, eps = cfg.local_rounds, self.schedule.sigma, self.schedule.eps
-        self.accountant.charge(s * exponential_cost(eps), "exponential_select", self.t, eps=eps, count=s)
+        n_exp, sigma, eps = self.exp_per_round, self.schedule.sigma, self.schedule.eps
+        self.accountant.charge(n_exp * exponential_cost(eps), "exponential_select", self.t, eps=eps, count=n_exp)
         self.accountant.charge(
             self.gauss_per_round * gaussian_cost(sigma), "gaussian_measure", self.t,
             sigma=sigma, count=self.gauss_per_round,

@@ -224,9 +224,7 @@ def build_workload(spec: dict, data: DiscreteDataset, seed: int) -> Workload:
     )
 
 
-def _sampled_nll(
-    model: ModelState, sample: DiscreteDataset, holdout: DiscreteDataset, floor: float = 1e-9
-) -> float:
+def _sampled_nll(model: ModelState, sample: DiscreteDataset, holdout: DiscreteDataset) -> float:
     """Holdout NLL under per-component empirical frequencies of a synthetic
     sample (the sample-based reading of the generalization metric)."""
     tables = {}
@@ -235,7 +233,7 @@ def _sampled_nll(
         idx = np.ravel_multi_index(tuple(sample.rows[:, a] for a in comp), dims=shape)
         tables[comp] = np.bincount(idx, minlength=int(np.prod(shape))).reshape(shape)
     empirical = ModelState(model.domain, max(sample.n_records, 1), model.components, tables)
-    return empirical.nll(holdout, floor)
+    return empirical.nll(holdout)
 
 
 def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
@@ -245,8 +243,15 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
     unknown = set(config.protocol) - set(PROTOCOL_KEYS)
     if unknown:
         raise ValueError(f"unknown protocol keys {sorted(unknown)}; expected some of {PROTOCOL_KEYS}")
-    if "gauss_frac" in config.protocol and config.protocol.get("rounds") is None:
-        raise ValueError("gauss_frac needs a fixed number of rounds; annealing uses its own split")
+    keys = AIM_KEYS if method == "aim" else FED_KEYS
+    # no ``rounds`` means annealing for every method
+    settings = {"rounds": None, **{k: config.protocol[k] for k in keys if k in config.protocol}}
+    # built before the run, so an invalid setting is a configuration error
+    if method == "aim":
+        protocol = AimConfig(seed=run_seed, **settings)
+    else:
+        variant = method.split("-", 1)[1] if method.startswith("flaim") else "naive"
+        protocol = FedConfig(seed=run_seed, variant=variant, **settings)
     result = RunResult(config_hash=config.hash(), method=method, seed=run_seed)
     start = time.perf_counter()
     try:
@@ -254,11 +259,8 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
             config.dataset, run_seed, config.holdout_fraction
         )
         workload = build_workload(config.workload, train, run_seed)
-        keys = AIM_KEYS if method == "aim" else FED_KEYS
-        # no ``rounds`` means annealing for every method
-        settings = {"rounds": None, **{k: config.protocol[k] for k in keys if k in config.protocol}}
         if method == "aim":
-            run = run_aim(train, workload, AimConfig(seed=run_seed, **settings))
+            run = run_aim(train, workload, protocol)
             comms = None
         else:
             partition = build_partition(
@@ -266,12 +268,10 @@ def execute_run(config: ExperimentConfig, run_seed: int) -> RunResult:
             )
             if partition is None:
                 raise ValueError(f"method {method} requires a partition")
-            variant = method.split("-", 1)[1] if method.startswith("flaim") else "naive"
-            fed = FedConfig(seed=run_seed, variant=variant, **settings)
             run = (
-                run_distaim(train, partition, workload, fed)
+                run_distaim(train, partition, workload, protocol)
                 if method == "distaim"
-                else run_flaim(train, partition, workload, fed)
+                else run_flaim(train, partition, workload, protocol)
             )
             comms = run.comms
         model = run.model

@@ -23,6 +23,8 @@ import numpy as np
 from .domain import DiscreteDataset, Domain, MarginalQuery
 
 CELL_BYTES = 8
+MAX_CELLS = 1 << 26  # largest component table a fit accepts
+NLL_FLOOR = 1e-9  # probability floor of the holdout NLL, so unseen cells stay finite
 # log floor for warm-start logits: cells whose mass underflowed to zero
 _LOG_FLOOR = np.finfo(np.float64).smallest_subnormal
 
@@ -325,7 +327,7 @@ class ModelState:
                 rows[:, a] = col
         return DiscreteDataset(self.domain, rows, validate=False)
 
-    def nll(self, holdout: DiscreteDataset, floor: float = 1e-9) -> float:
+    def nll(self, holdout: DiscreteDataset) -> float:
         """Mean negative log-likelihood of holdout rows under the model."""
         if holdout.n_records == 0:
             raise ValueError("holdout must be non-empty")
@@ -335,7 +337,7 @@ class ModelState:
             idx = np.ravel_multi_index(
                 tuple(holdout.rows[:, a] for a in comp), dims=self.domain.shape(comp)
             )
-            logp += np.log(np.maximum(flat[idx], floor))
+            logp += np.log(np.maximum(flat[idx], NLL_FLOOR))
         return float(-logp.mean())
 
     def size_bytes(self, candidate: MarginalQuery | None = None) -> int:
@@ -371,7 +373,6 @@ def fit(
     tolerance: float = 1e-7,
     total: float | None = None,
     warm_start: ModelState | None = None,
-    max_cells: int = 1 << 26,
 ) -> ModelState:
     """Fit a ModelState to the measurement list (deterministic).
 
@@ -391,8 +392,8 @@ def fit(
     total = max(float(total), 1e-9)  # all-negative noisy totals would zero the mass
     comps = _union_find_components(len(domain), [m.query.attrs for m in measurements])
     for comp in comps:
-        if domain.size(comp) > max_cells:
-            raise ComponentTooLargeError(comp, domain.size(comp), max_cells)
+        if domain.size(comp) > MAX_CELLS:
+            raise ComponentTooLargeError(comp, domain.size(comp), MAX_CELLS)
 
     tables: dict[tuple[int, ...], np.ndarray] = {}
     traces: dict[tuple[int, ...], list[float]] = {}

@@ -82,11 +82,10 @@ def _encode_rows(data: DiscreteDataset) -> np.ndarray:
     return data.rows / denom
 
 
-def partition_cluster_skew(
-    data: DiscreteDataset, n_clients: int, seed: int, max_iters: int = 50
-) -> ClientPartition:
-    """Feature-skew split: k-means over normalized value encodings, one
-    cluster per client, empty clusters repaired by splitting the largest."""
+def partition_cluster_skew(data: DiscreteDataset, n_clients: int, seed: int) -> ClientPartition:
+    """Feature-skew split: k-means (at most 50 iterations) over normalized
+    value encodings, one cluster per client, empty clusters repaired by
+    splitting the largest."""
     if n_clients > data.n_records:
         raise ValueError("more clients than rows")
     rng = fork(seed, "partition", "cluster", n_clients)
@@ -95,7 +94,7 @@ def partition_cluster_skew(
     centroids = points[centroid_rows].copy()
     assign = np.zeros(data.n_records, dtype=np.int64)
     point_sq = (points**2).sum(axis=1)
-    for _ in range(max_iters):
+    for _ in range(50):
         dists = (
             point_sq[:, None] - 2.0 * points @ centroids.T + (centroids**2).sum(axis=1)[None, :]
         )
@@ -212,7 +211,7 @@ def heterogeneity_report(
         raise ValueError("partition does not cover the dataset")
     skews = np.zeros((partition.n_clients, len(workload)))
     for j, q in enumerate(workload.queries):
-        global_counts = evaluate_marginal(data, q).counts
+        global_counts = evaluate_marginal(data, q)
         per_client = client_counts(data, partition, q)
         for k in range(partition.n_clients):
             skews[k, j] = client_query_skew(per_client[k], global_counts)
@@ -220,16 +219,12 @@ def heterogeneity_report(
     return HeterogeneityReport(skews, workload.queries, empty)
 
 
-def mixture_dataset(
-    n_rows: int,
-    seed: int,
-    n_groups: int = 6,
-    class_name: str = "income",
-) -> DiscreteDataset:
-    """Bundled census-like surrogate: categorical features drawn from latent
-    groups with a class attribute correlated with group membership.  Used by
-    experiments that need realistic feature/label structure without shipping
-    an external dataset."""
+def mixture_dataset(n_rows: int, seed: int) -> DiscreteDataset:
+    """Bundled census-like surrogate: categorical features drawn from 6
+    latent groups with a class attribute, ``income``, correlated with group
+    membership.  Used by experiments that need realistic feature/label
+    structure without shipping an external dataset."""
+    n_groups = 6
     rng = fork(seed, "mixture", n_rows, n_groups)
     spec = [
         ("age", 16),
@@ -251,5 +246,5 @@ def mixture_dataset(
         columns.append((u[:, None] > cdfs[z]).sum(axis=1).astype(np.int64))
     class_p = np.linspace(0.05, 0.9, n_groups)
     columns.append((rng.random(n_rows) < class_p[z]).astype(np.int64))
-    domain = Domain.make([name for name, _ in spec] + [class_name], [c for _, c in spec] + [2])
+    domain = Domain.make([name for name, _ in spec] + ["income"], [c for _, c in spec] + [2])
     return DiscreteDataset(domain, np.stack(columns, axis=1), validate=False)

@@ -200,38 +200,14 @@ class NoiseSchedule:
             raise ValueError("sigma and eps must be positive")
 
 
-def flaim_schedule(T: int, s: int, d: int, rho: float, r: float, mode: str) -> NoiseSchedule:
-    """Constant schedule consuming exactly rho over T global / s local rounds.
-
-    ``mode`` is "naive", "oracle" (T*s + d Gaussian measurements) or
-    "private" (T*(s+d) Gaussian measurements); the exponential mechanism
-    runs T*s times in every mode.
-    """
-    if T < 1 or s < 1:
-        raise ValueError("T and s must be >= 1")
-    if not 0 < r < 1:
-        raise ValueError("Gaussian budget fraction r must lie in (0, 1)")
-    if mode in ("naive", "oracle"):
-        sigma = math.sqrt((T * s + d) / (2.0 * r * rho))
-    elif mode == "private":
-        sigma = math.sqrt(T * (s + d) / (2.0 * r * rho))
-    else:
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    eps = math.sqrt(8.0 * (1.0 - r) * rho / (T * s))
-    return NoiseSchedule(sigma=sigma, eps=eps)
-
-
-def central_schedule_init(d: int, rho_total: float, rounds_factor: int = 16) -> NoiseSchedule:
-    """Annealing start point: sigma_0^2 = 16 d / (0.9 rho) and its eps_0.
-
-    ``rounds_factor`` is 16 for the central algorithm and 8 for the
-    federated adaptations.
-    """
-    if rho_total <= 0:
-        raise ValueError("rho_total must be positive")
-    sigma = math.sqrt(rounds_factor * d / (0.9 * rho_total))
-    eps = math.sqrt(8.0 * 0.1 * rho_total / (rounds_factor * d))
-    return NoiseSchedule(sigma=sigma, eps=eps)
+def budget_schedule(gauss_rho: float, n_gauss: int, exp_rho: float, n_exp: int) -> NoiseSchedule:
+    """Constant parameters spending ``gauss_rho`` over ``n_gauss`` Gaussian
+    measurements and ``exp_rho`` over ``n_exp`` exponential selections."""
+    if gauss_rho <= 0 or exp_rho <= 0:
+        raise ValueError("budgets must be positive")
+    if n_gauss < 1 or n_exp < 1:
+        raise ValueError("mechanism counts must be >= 1")
+    return NoiseSchedule(math.sqrt(n_gauss / (2.0 * gauss_rho)), math.sqrt(8.0 * exp_rho / n_exp))
 
 
 def anneal_step(schedule: NoiseSchedule) -> NoiseSchedule:
@@ -260,13 +236,3 @@ def final_round_triggered(
         schedule.eps
     )
     return remaining <= 2.0 * per_round
-
-
-def final_round_adjust(remaining: float, gauss_count: int = 1, exp_count: int = 1) -> NoiseSchedule:
-    """Parameters whose one remaining round spends the budget exactly
-    (0.9/0.1 split between Gaussian and exponential applications)."""
-    if remaining <= 0:
-        raise ValueError("no budget remaining")
-    sigma = math.sqrt(gauss_count / (2.0 * 0.9 * remaining))
-    eps = math.sqrt(8.0 * 0.1 * remaining / exp_count)
-    return NoiseSchedule(sigma=sigma, eps=eps)

@@ -22,9 +22,6 @@ from .privacy import gaussian_mechanism
 SHARE_BYTES = 8
 DEFAULT_PARTIES = 3
 
-SERVER = -1
-
-
 _LEDGER_FIELDS = ["client", "round", "bytes_sent", "bytes_received", "protocol"]
 
 
@@ -77,11 +74,9 @@ class CommsLedger:
         return [dict(zip(_LEDGER_FIELDS, row)) for row in self._rows()]
 
     def client_totals(self) -> dict[int, int]:
-        """Total traffic (sent + received) per client, server excluded."""
+        """Total traffic (sent + received) per client."""
         totals: dict[int, int] = {}
         for client, sent, received in zip(self.clients, self.bytes_sent, self.bytes_received):
-            if client == SERVER:
-                continue
             totals[client] = totals.get(client, 0) + sent + received
         return totals
 
@@ -159,7 +154,6 @@ class ShareAccumulator:
         ledger: CommsLedger | None = None,
         client: int = 0,
         round_index: int = 0,
-        protocol: str = "distaim",
     ) -> None:
         """Pool one client's answers.
 
@@ -174,7 +168,7 @@ class ShareAccumulator:
                     client,
                     round_index,
                     bytes_sent=encoded.size * SHARE_BYTES * self.parties,
-                    protocol=protocol,
+                    protocol="distaim",
                 )
             if self.sums[key] is None:
                 self.sums[key] = encoded

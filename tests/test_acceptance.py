@@ -196,7 +196,7 @@ def test_criterion_03_fitter_oracle_equivalence():
         ms = []
         for attrs in query_sets:
             q = MarginalQuery.make(dom, attrs)
-            ms.append(Measurement(0, q, evaluate_marginal(data, q).counts, 1.0, 1.0))
+            ms.append(Measurement(0, q, evaluate_marginal(data, q), 1.0, 1.0))
         return dom, ms
 
     cases.append(noiseless_case((2, 2, 2), [(0, 1), (1, 2)], 100, 31))
@@ -211,7 +211,7 @@ def test_criterion_03_fitter_oracle_equivalence():
     noisy = []
     for attrs in [(0, 1), (1, 2), (0, 2)]:
         q = MarginalQuery.make(dom, attrs)
-        y = evaluate_marginal(data, q).counts + rng.normal(0, 8.0, q.cardinality)
+        y = evaluate_marginal(data, q) + rng.normal(0, 8.0, q.cardinality)
         noisy.append(Measurement(0, q, y, 8.0, 1 / 8.0))
     cases.append((dom, noisy))
 
@@ -349,21 +349,21 @@ def test_criterion_07_proxy_validity():
     clustered = partition_cluster_skew(data, 8, seed=3)
     workload = complete_workload(data.domain, random_workload(data.domain, 2, 5, seed=2))
     global_oneways = {
-        a: evaluate_marginal(data, MarginalQuery.make(data.domain, (a,))).counts
+        a: evaluate_marginal(data, MarginalQuery.make(data.domain, (a,)))
         for a in range(len(data.domain))
     }
     proxies, exacts = [], []
     for k in range(8):
         local = data.subset(np.nonzero(clustered.assignments == k)[0])
         client_oneways = {
-            a: evaluate_marginal(local, MarginalQuery.make(data.domain, (a,))).counts
+            a: evaluate_marginal(local, MarginalQuery.make(data.domain, (a,)))
             for a in range(len(data.domain))
         }
         for q in workload.queries:
             proxies.append(heterogeneity_proxy(client_oneways, global_oneways, q))
             exacts.append(
-                oracle_heterogeneity(evaluate_marginal(local, q).counts,
-                                     evaluate_marginal(data, q).counts)
+                oracle_heterogeneity(evaluate_marginal(local, q),
+                                     evaluate_marginal(data, q))
             )
     corr = float(np.corrcoef(proxies, exacts)[0, 1])
 

@@ -5,8 +5,9 @@ import pytest
 
 from fedsynth.central import FIT_TOLERANCE, AimConfig, ROOT_2_OVER_PI, _aim_utilities, filter_by_size, run_aim
 from fedsynth.domain import Domain, MarginalQuery, evaluate_marginal, normalized_counts
+from fedsynth.federated import FedConfig, run_distaim, run_flaim
 from fedsynth.model import ModelState
-from fedsynth.partition import synthfs
+from fedsynth.partition import ClientPartition, synthfs
 from fedsynth.privacy import exponential_cost, gaussian_cost
 from fedsynth.workload import Workload, complete_workload, random_workload, workload_error
 
@@ -71,12 +72,12 @@ def test_noiseless_hook_selects_exhaustive_argmax(small_problem):
 
     dom = data.domain
     completed = res.completed_workload
-    exact = {q.attrs: evaluate_marginal(data, q).counts for q in completed.queries}
+    exact = {q.attrs: evaluate_marginal(data, q) for q in completed.queries}
     d = len(dom)
     rho = res.accountant.rho_total
     sigma = math.sqrt((T + d) / (2 * 0.9 * rho))
     measurements = [
-        Measurement(0, MarginalQuery.make(dom, (a,)), evaluate_marginal(data, MarginalQuery.make(dom, (a,))).counts, sigma, 1 / sigma)
+        Measurement(0, MarginalQuery.make(dom, (a,)), evaluate_marginal(data, MarginalQuery.make(dom, (a,))), sigma, 1 / sigma)
         for a in range(d)
     ]
     model = fit(measurements, dom, iterations=cfg.fit_iters, tolerance=FIT_TOLERANCE)
@@ -140,11 +141,35 @@ def test_perfectly_fit_query_has_negative_utility(small_problem):
     assert utility < 0
 
 
-def test_fail_fast_when_model_cap_below_oneway(small_problem):
+@pytest.mark.parametrize("run", [run_aim, run_distaim, run_flaim], ids=lambda run: run.__name__)
+def test_fail_fast_when_model_cap_below_oneway(small_problem, run):
     data, workload = small_problem
-    cfg = AimConfig(epsilon=1.0, rounds=3, seed=0, max_model_size=8)
+    if run is run_aim:
+        args = (data, workload, AimConfig(epsilon=1.0, rounds=3, seed=0, max_model_size=8))
+    else:
+        partition = ClientPartition(np.arange(data.n_records) % 4, 4)
+        args = (data, partition, workload, FedConfig(epsilon=1.0, rounds=3, seed=0, max_model_size=8))
     with pytest.raises(ValueError, match="max_model_size"):
-        run_aim(data, workload, cfg)
+        run(*args)
+
+
+@pytest.mark.parametrize("config", [AimConfig, FedConfig])
+@pytest.mark.parametrize("settings,match", [
+    ({"rounds": 0}, "rounds"),
+    ({"rounds": 5, "gauss_frac": 0.0}, "gauss_frac"),
+    ({"rounds": 5, "gauss_frac": 1.0}, "gauss_frac"),
+    ({"rounds": None, "gauss_frac": 0.8}, "gauss_frac"),
+], ids=["rounds0", "gauss_frac0", "gauss_frac1", "annealing_gauss_frac0.8"])
+def test_configs_reject_rounds_and_gauss_frac_no_schedule_can_spend(config, settings, match):
+    with pytest.raises(ValueError, match=match):
+        config(epsilon=1.0, **settings)
+
+
+@pytest.mark.parametrize("config", [AimConfig, FedConfig])
+def test_configs_accept_the_annealing_split(config):
+    # annealing splits its budget 0.9/0.1, so that gauss_frac is the one it honours
+    assert config(epsilon=1.0, rounds=None, gauss_frac=0.9).gauss_frac == 0.9
+    assert config(epsilon=1.0, rounds=1, gauss_frac=0.35).rounds == 1
 
 
 def test_error_nonincreasing_in_epsilon(small_problem):

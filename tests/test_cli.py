@@ -2,9 +2,12 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from fedsynth import harness
 from fedsynth.cli import main
-from fedsynth.data_io import load_dataset, load_partition
+from fedsynth.data_io import load_dataset, load_partition, save_dataset
+from fedsynth.partition import mixture_dataset
 
 
 def write_experiment_config(path, out_dir):
@@ -161,6 +164,18 @@ def test_prepare_and_partition_pipeline(tmp_path):
                  "--clients", "4", "--beta", "0.5", "--class-attr", "cls",
                  "--out", part_out, "--seed", "5", "--force"]) == 0
     np.testing.assert_array_equal(load_partition(part_out), assignments)
+
+
+@pytest.mark.parametrize("kind", ["iid", "label_skew", "cluster"])
+def test_partition_command_matches_build_partition(tmp_path, kind):
+    data = mixture_dataset(300, seed=2)
+    data_out = str(tmp_path / "d.npz")
+    save_dataset(data_out, data)
+    part_out = str(tmp_path / "part.txt")
+    assert main(["partition", "--data", data_out, "--kind", kind, "--clients", "6",
+                 "--out", part_out, "--seed", "9"]) == 0
+    expected = harness.build_partition({"kind": kind, "clients": 6}, data, None, 9)
+    np.testing.assert_array_equal(load_partition(part_out), expected.assignments)
 
 
 def test_summarize_command(tmp_path):

@@ -48,9 +48,9 @@ def test_marginal_empty_dataset_is_zero():
     dom = small_domain()
     data = DiscreteDataset(dom, np.zeros((0, 3)))
     q = MarginalQuery.make(dom, [0, 1])
-    table = evaluate_marginal(data, q)
-    assert table.counts.shape == (6,)
-    assert np.all(table.counts == 0)
+    counts = evaluate_marginal(data, q)
+    assert counts.shape == (6,)
+    assert np.all(counts == 0)
 
 
 def test_marginal_single_row_cell_ordering():
@@ -58,7 +58,7 @@ def test_marginal_single_row_cell_ordering():
     dom = Domain.make(["x", "y"], [2, 2])
     data = DiscreteDataset(dom, np.array([[0, 1]]))
     q = MarginalQuery.make(dom, [0, 1])
-    assert evaluate_marginal(data, q).counts.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert evaluate_marginal(data, q).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_marginal_linearity_under_replication():
@@ -70,7 +70,7 @@ def test_marginal_linearity_under_replication():
     for attrs in [(0,), (1, 2), (0, 1, 2)]:
         q = MarginalQuery.make(dom, attrs)
         np.testing.assert_array_equal(
-            2 * evaluate_marginal(data, q).counts, evaluate_marginal(doubled, q).counts
+            2 * evaluate_marginal(data, q), evaluate_marginal(doubled, q)
         )
 
 
@@ -82,12 +82,12 @@ def test_marginal_total_and_consistency(seed, n_rows):
     rows = rng.integers(0, [3, 2, 4, 2], size=(n_rows, 4))
     data = DiscreteDataset(dom, rows)
     q = MarginalQuery.make(dom, [0, 2, 3])
-    table = evaluate_marginal(data, q)
-    assert table.total == n_rows
+    counts = evaluate_marginal(data, q)
+    assert counts.sum() == n_rows
     # summing over dropped attributes reproduces the sub-marginal exactly
     sub = MarginalQuery.make(dom, [0, 3])
-    projected = table.counts.reshape(dom.shape(q.attrs)).sum(axis=1).reshape(-1)  # drop attribute 2
-    np.testing.assert_array_equal(projected, evaluate_marginal(data, sub).counts)
+    projected = counts.reshape(dom.shape(q.attrs)).sum(axis=1).reshape(-1)  # drop attribute 2
+    np.testing.assert_array_equal(projected, evaluate_marginal(data, sub))
 
 
 def test_normalized_counts_zero_convention():

@@ -66,7 +66,7 @@ def test_client_answers_match_per_client_counts(kind):
     for k in range(partition.n_clients):
         local = client_data(partition, data, k)
         for q in queries:
-            np.testing.assert_array_equal(answers[k][q.attrs], evaluate_marginal(local, q).counts)
+            np.testing.assert_array_equal(answers[k][q.attrs], evaluate_marginal(local, q))
             assert not answers[k][q.attrs].flags.writeable
 
 
@@ -278,7 +278,7 @@ def test_flaim_duplicate_selections_single_measurement(fed_problem):
     assert len(entry["selected"]) == 1
     chosen = tuple(entry["selected"][0])
     agg = sum(
-        evaluate_marginal(client_data(partition, clones, k), MarginalQuery.make(clones.domain, chosen)).counts
+        evaluate_marginal(client_data(partition, clones, k), MarginalQuery.make(clones.domain, chosen))
         for k in entry["participants"]
     )
     np.testing.assert_allclose(agg.sum(), clones.n_records)
@@ -356,21 +356,21 @@ def test_proxy_correlates_with_exact_on_clustered_split(fed_problem):
     clustered = partition_cluster_skew(data, 8, seed=3)
     completed = complete_workload(data.domain, workload)
     global_oneways = {
-        a: evaluate_marginal(data, MarginalQuery.make(data.domain, (a,))).counts
+        a: evaluate_marginal(data, MarginalQuery.make(data.domain, (a,)))
         for a in range(len(data.domain))
     }
     proxies, exacts = [], []
     for k in range(8):
         local = client_data(clustered, data, k)
         client_oneways = {
-            a: evaluate_marginal(local, MarginalQuery.make(data.domain, (a,))).counts
+            a: evaluate_marginal(local, MarginalQuery.make(data.domain, (a,)))
             for a in range(len(data.domain))
         }
         for q in completed.queries:
             proxies.append(heterogeneity_proxy(client_oneways, global_oneways, q))
             exacts.append(
                 oracle_heterogeneity(
-                    evaluate_marginal(local, q).counts, evaluate_marginal(data, q).counts
+                    evaluate_marginal(local, q), evaluate_marginal(data, q)
                 )
             )
     corr = np.corrcoef(proxies, exacts)[0, 1]
@@ -395,13 +395,13 @@ def test_triangle_inequality_for_skew_penalty(fed_problem):
     completed = complete_workload(data.domain, workload)
     # a stand-in model answer: normalized noisy global marginal
     for q in completed.queries:
-        global_norm = normalized_counts(evaluate_marginal(data, q).counts)
+        global_norm = normalized_counts(evaluate_marginal(data, q))
         model_norm = normalized_counts(
-            np.maximum(evaluate_marginal(data, q).counts + rng.normal(0, 20, q.cardinality), 0)
+            np.maximum(evaluate_marginal(data, q) + rng.normal(0, 20, q.cardinality), 0)
         )
         for k in range(partition.n_clients):
             local = normalized_counts(
-                evaluate_marginal(client_data(partition, data, k), q).counts
+                evaluate_marginal(client_data(partition, data, k), q)
             )
             lhs = np.abs(local - model_norm).sum()
             tau = np.abs(local - global_norm).sum()

@@ -199,6 +199,13 @@ def test_gauss_frac_requires_fixed_rounds(rounds):
         execute_run(config, 0)
 
 
+@pytest.mark.parametrize("method", ["aim", "flaim-naive"])
+def test_zero_rounds_is_a_configuration_error(method):
+    # raised before the run starts, so it is not recorded as a failed run
+    with pytest.raises(ValueError, match="rounds"):
+        execute_run(tiny_config(method=method, repeats=1, rounds=0), 0)
+
+
 @pytest.mark.parametrize("method", ["aim", "distaim"])
 def test_absent_protocol_keys_take_the_config_defaults(monkeypatch, method):
     import fedsynth.harness as harness

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fedsynth.model as model_module
 from fedsynth.domain import DiscreteDataset, Domain, MarginalQuery, evaluate_marginal
 from fedsynth.model import (
     ComponentTooLargeError,
@@ -114,7 +115,7 @@ def test_noisy_fit_matches_brute_force_objective():
     measurements = []
     for attrs in queries:
         q = MarginalQuery.make(dom, attrs)
-        noisy = evaluate_marginal(data, q).counts + rng.normal(0, 5.0, q.cardinality)
+        noisy = evaluate_marginal(data, q) + rng.normal(0, 5.0, q.cardinality)
         measurements.append(Measurement(0, q, noisy, 5.0, 1.0 / 5.0))
     model = fit(measurements, dom, iterations=4000, tolerance=1e-14)
     oracle = brute_force_fit(measurements, dom, total=model.total)
@@ -152,12 +153,13 @@ def test_total_estimation_weighted_clipped():
     assert estimate_total([m1, m2]) == pytest.approx(120.0 / 4.0)
 
 
-def test_component_cell_cap():
+def test_component_cell_cap(monkeypatch):
+    monkeypatch.setattr(model_module, "MAX_CELLS", 64**2)
     dom = domain([64, 64, 64])
     m = meas(dom, [0, 1], np.zeros(64 * 64))
     m2 = meas(dom, [1, 2], np.zeros(64 * 64))
     with pytest.raises(ComponentTooLargeError, match=r"\(0, 1, 2\)"):
-        fit([m, m2], dom, max_cells=64**2)
+        fit([m, m2], dom)
 
 
 # --- answering -----------------------------------------------------------------------
@@ -234,7 +236,7 @@ def test_sample_matches_model_marginal():
     model = fit([m], dom, iterations=500)
     sample = model.sample(100_000, fork(2))
     q = MarginalQuery.make(dom, [0, 1])
-    empirical = evaluate_marginal(sample, q).counts / 100_000
+    empirical = evaluate_marginal(sample, q) / 100_000
     expected = model.marginal_counts(q) / model.total
     assert 0.5 * np.abs(empirical - expected).sum() < 0.01
 
@@ -329,7 +331,7 @@ def test_nll_floor_guards_unseen_cells():
     m = meas(dom, [0], [100.0, 0.0])
     model = fit([m], dom, iterations=2000, tolerance=1e-16)
     holdout = DiscreteDataset(dom, np.array([[1]]))
-    assert model.nll(holdout, floor=1e-9) <= -np.log(1e-9) + 1e-6
+    assert model.nll(holdout) <= -np.log(1e-9) + 1e-6
 
 
 # --- fit plan and warm starts --------------------------------------------------------

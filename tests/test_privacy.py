@@ -10,14 +10,12 @@ from fedsynth.privacy import (
     PrivacyAccountant,
     anneal_step,
     annealing_condition,
-    central_schedule_init,
+    budget_schedule,
     delta_for_rho,
     exponential_cost,
     exponential_mechanism,
     exponential_probabilities,
-    final_round_adjust,
     final_round_triggered,
-    flaim_schedule,
     gaussian_cost,
     gaussian_mechanism,
     rho_from_eps_delta,
@@ -169,9 +167,11 @@ def test_gumbel_matches_softmax_tv():
 
 
 def test_flaim_schedule_values():
-    sched = flaim_schedule(T=10, s=1, d=14, rho=1.0, r=0.9, mode="naive")
+    # FLAIM's fixed schedule, T=10, s=1, d=14, rho=1, r=0.9: T*s + d measurements
+    # (naive/oracle) or T*(s+d) (private), and T*s selections
+    sched = budget_schedule(0.9 * 1.0, 14 + 10 * 1, (1.0 - 0.9) * 1.0, 10 * 1)
     assert sched.sigma == pytest.approx(math.sqrt(24 / 1.8), rel=1e-12)
-    sched_p = flaim_schedule(T=10, s=1, d=14, rho=1.0, r=0.9, mode="private")
+    sched_p = budget_schedule(0.9 * 1.0, 10 * (1 + 14), (1.0 - 0.9) * 1.0, 10 * 1)
     assert sched_p.sigma == pytest.approx(math.sqrt(150 / 1.8), rel=1e-12)
     assert sched.eps == pytest.approx(math.sqrt(8 * 0.1 / 10), rel=1e-12)
 
@@ -179,20 +179,60 @@ def test_flaim_schedule_values():
 @pytest.mark.parametrize("mode,T,s,d", [("naive", 10, 1, 14), ("oracle", 7, 3, 5), ("private", 9, 2, 12)])
 def test_flaim_schedule_total_spend_identity(mode, T, s, d):
     rho, r = 0.73, 0.9
-    sched = flaim_schedule(T, s, d, rho, r, mode)
     gauss_apps = T * (s + d) if mode == "private" else T * s + d
+    sched = budget_schedule(r * rho, gauss_apps, (1.0 - r) * rho, T * s)
     total = T * s * exponential_cost(sched.eps) + gauss_apps * gaussian_cost(sched.sigma)
     assert total == pytest.approx(rho, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_gauss,n_exp,r,rho", [
+    (24, 10, 0.9, 1.0),  # naive/oracle: T*s + d, T=10, s=1, d=14
+    (26, 21, 0.9, 0.73),  # oracle with local rounds: T=7, s=3, d=5
+    (252, 18, 0.9, 0.73),  # private: T*(s+d), T=9, s=2, d=12
+    (5, 2, 0.9, 0.08),  # final round with several applications
+    (1, 1, 0.9, 0.05),  # central final round
+    (448, 224, 0.9, 0.9),  # annealing start, f = 16 * 14
+    (13, 4, 0.35, 2.5),  # a non-default gauss_frac
+])
+def test_budget_schedule_spends_exactly(n_gauss, n_exp, r, rho):
+    sched = budget_schedule(r * rho, n_gauss, (1.0 - r) * rho, n_exp)
+    assert n_gauss * gaussian_cost(sched.sigma) == pytest.approx(r * rho, rel=1e-12)
+    assert n_exp * exponential_cost(sched.eps) == pytest.approx((1.0 - r) * rho, rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [(0.0, 1, 0.1, 1), (0.9, 1, -0.1, 1), (0.9, 0, 0.1, 1), (0.9, 1, 0.1, 0)])
+def test_budget_schedule_rejects_empty_budgets_and_counts(args):
+    with pytest.raises(ValueError):
+        budget_schedule(*args)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.5, 1.0, 0.0123, 7.3, 1e-3])
+@pytest.mark.parametrize("factor,d", [(16, 14), (8, 14), (16, 3), (8, 31)])
+def test_budget_schedule_matches_closed_forms_exactly(rho, factor, d):
+    # the closed forms the schedules were first written in; equality is exact,
+    # so runs keep their float results bit for bit
+    f = factor * d
+    start = budget_schedule(0.9 * rho, 2 * f, 0.1 * rho, f)
+    assert start.sigma == math.sqrt(factor * d / (0.9 * rho))
+    assert start.eps == math.sqrt(0.8 * rho / (factor * d))
+    for T, s, r in [(10, 1, 0.9), (7, 3, 0.9), (3, 2, 0.35)]:
+        fixed = budget_schedule(r * rho, T * s + d, (1.0 - r) * rho, T * s)
+        assert fixed.sigma == math.sqrt((T * s + d) / (2 * r * rho))
+        assert fixed.eps == math.sqrt(8.0 * (1.0 - r) * rho / (T * s))
+
+
 def test_central_schedule_init_values():
-    sched = central_schedule_init(14, 0.9)
+    # the annealing start: sigma_0^2 = f d / (0.9 rho), f = 16 centrally and 8 federated
+    def start(d, rho, factor=16):
+        return budget_schedule(0.9 * rho, 2 * factor * d, 0.1 * rho, factor * d)
+
+    sched = start(14, 0.9)
     assert sched.sigma**2 == pytest.approx(224 / 0.81, rel=1e-12)
-    sched2 = central_schedule_init(28, 0.9)
+    sched2 = start(28, 0.9)
     assert sched2.sigma**2 / sched.sigma**2 == pytest.approx(2.0, rel=1e-12)
-    sched16 = central_schedule_init(16, 1.0)
+    sched16 = start(16, 1.0)
     assert sched16.eps == pytest.approx(math.sqrt(0.8 / 256), rel=1e-12)
-    sched_fed = central_schedule_init(14, 0.9, rounds_factor=8)
+    sched_fed = start(14, 0.9, factor=8)
     assert sched_fed.sigma**2 == pytest.approx(112 / 0.81, rel=1e-12)
 
 
@@ -211,7 +251,8 @@ def test_annealing_condition():
 
 
 def test_final_round_adjust_values():
-    adj = final_round_adjust(0.05)
+    # the final round spends what remains, split 0.9/0.1
+    adj = budget_schedule(0.9 * 0.05, 1, 0.1 * 0.05, 1)
     assert adj.sigma**2 == pytest.approx(1 / 0.09, rel=1e-12)
     assert adj.eps == pytest.approx(0.2, rel=1e-12)
     spend = gaussian_cost(adj.sigma) + exponential_cost(adj.eps)
@@ -226,7 +267,7 @@ def test_final_round_trigger_branches():
 
 
 def test_final_round_adjust_multi_application_counts():
-    adj = final_round_adjust(0.08, gauss_count=5, exp_count=2)
+    adj = budget_schedule(0.9 * 0.08, 5, 0.1 * 0.08, 2)
     spend = 5 * gaussian_cost(adj.sigma) + 2 * exponential_cost(adj.eps)
     assert spend == pytest.approx(0.08, rel=1e-12)
 
