@@ -105,26 +105,32 @@ def _aim_utilities(
     workload: Workload,
     candidates: list[int],
     sigma: float,
-    mass: float | None = None,
-    skew: dict[int, float] | None = None,
+    mass: float | np.ndarray | None = None,
+    skew: np.ndarray | None = None,
 ) -> np.ndarray:
     """AIM's quality score of each candidate: the weighted L1 gap between
     its answer and the model's, less the expected noise and the candidate's
     ``skew`` penalty.  With ``mass``, gaps compare per-record frequencies
     (``model_answers`` must be normalized too) and the noise term is divided
-    by the mass, floored at 1."""
-    skew = skew or {}
-    scores = np.empty(len(candidates))
+    by the mass, floored at 1.
+
+    ``answer`` may return one answer or a (rows x cells) block, one row per
+    client; ``mass`` is then a scalar or one value per row, and ``skew``
+    holds (rows x candidates) penalties.  The result has one score per
+    candidate for each row, and each row equals what that row alone scores."""
+    columns = []
     for j, i in enumerate(candidates):
         q = workload.queries[i]
         counts = answer(q.attrs)
         penalty = ROOT_2_OVER_PI * sigma * q.cardinality
         if mass is not None:
             counts = normalized_counts(counts)
-            penalty /= max(mass, 1.0)
-        gap = float(np.abs(counts - model_answers[i]).sum())
-        scores[j] = workload.weights[i] * (gap - penalty - skew.get(i, 0.0))
-    return scores
+            penalty = penalty / np.maximum(mass, 1.0)
+        gap = np.abs(counts - model_answers[i]).sum(axis=-1) - penalty
+        if skew is not None:
+            gap = gap - skew[..., j]
+        columns.append(workload.weights[i] * gap)
+    return np.stack(columns, axis=-1)
 
 
 class Loop:

@@ -129,9 +129,12 @@ def evaluate_marginal(data: DiscreteDataset, query: MarginalQuery) -> np.ndarray
 
 
 def normalized_counts(counts: np.ndarray) -> np.ndarray:
-    """Per-record frequencies; the zero vector when there is no mass."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        return np.zeros_like(counts)
-    return counts / total
+    """Per-record frequencies along the last axis, so each row of a
+    (clients x cells) block is normalized on its own; a row with no mass
+    becomes zeros."""
+    counts = np.array(counts, dtype=np.float64)  # a copy, normalized in place
+    total = counts.sum(axis=-1, keepdims=True)
+    empty = total <= 0
+    np.divide(counts, total, out=counts, where=~empty)
+    np.copyto(counts, 0.0, where=empty)
+    return counts

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .secagg import CommsLedger, ShareAccumulator, secagg_round
 from .workload import Workload, complete_workload
 
 VARIANTS = ("naive", "oracle", "private")
+_NO_SKEW = {"mean_skew": 0.0}  # the naive variant's round-log entry, shared by every participant; never mutated
 
 
 @dataclass
@@ -76,34 +78,38 @@ def heterogeneity_proxy(
     client_oneways: dict[int, np.ndarray],
     global_oneways: dict[int, np.ndarray],
     query: MarginalQuery,
-) -> float:
+) -> float | np.ndarray:
     """Feature-level skew proxy: mean over the query's attributes of the L1
     gap between the client's exact normalized one-way and the (noisy)
-    global estimate."""
+    global estimate.  One-ways given as (clients x cells) rows give one
+    value per client."""
     gaps = []
     for a in query.attrs:
         if a not in global_oneways:
             raise KeyError(f"no global one-way estimate for attribute {a}")
         gaps.append(client_query_skew(client_oneways[a], global_oneways[a]))
-    return float(np.mean(gaps))
+    return np.mean(np.stack(gaps), axis=0)
 
 
 def _client_answers(
     data: DiscreteDataset, partition: ClientPartition, queries: list[MarginalQuery]
-) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """Exact per-client counts of each query, as read-only integer rows
-    (client ``k`` gets views of row ``k`` of one matrix per query)."""
-    matrices = {}
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Exact per-client counts of each query, as one read-only (clients x
+    cells) matrix per query; row ``k`` is client ``k``'s.  A count never
+    exceeds its client's size, so the matrices are int16 (half of int32's
+    memory) unless some client holds more rows than int16 can count."""
+    dtype = np.int16 if partition.sizes().max(initial=0) <= np.iinfo(np.int16).max else np.int32
+    answers = {}
     for q in queries:
-        matrix = client_counts(data, partition, q).astype(np.int32)
+        matrix = client_counts(data, partition, q).astype(dtype)
         matrix.flags.writeable = False
-        matrices[q.attrs] = matrix
-    return [{attrs: m[k] for attrs, m in matrices.items()} for k in range(partition.n_clients)]
+        answers[q.attrs] = matrix
+    return answers
 
 
 def _sample_participants(config: FedConfig, partition: ClientPartition, *path) -> list[int]:
     mask = fork(config.seed, *path).random(partition.n_clients) < config.sample_rate
-    return [int(k) for k in np.nonzero(mask)[0]]
+    return list(compress(partition.client_ids, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +145,8 @@ class _DistAimLoop(AimLoop):
         sampled = _sample_participants(cfg, self.partition, "sample", self.t)
         for k in sampled:
             if k not in self.participated:
-                self.accumulator.add_client(self.answers[k], int(self.sizes[k]), self.ledger, k, self.t)
+                answers = {attrs: matrix[k] for attrs, matrix in self.answers.items()}
+                self.accumulator.add_client(answers, int(self.sizes[k]), self.ledger, k, self.t)
                 self.participated.add(k)
         if cfg.normalize_scores:
             self.mass = self.accumulator.mass
@@ -213,12 +220,15 @@ class _FlaimLoop(Loop):
         all_queries = list(completed.queries) + [q for q in self.one_ways if q.attrs not in known]
         self.answers = _client_answers(data, partition, all_queries)
         self.sizes = partition.sizes()
-        self.global_answers = {q.attrs: evaluate_marginal(data, q) for q in all_queries}
+        if config.variant == "oracle":  # (clients x queries) exact skew, fixed for the run
+            self.oracle_skew = np.stack([
+                oracle_heterogeneity(self.answers[q.attrs], evaluate_marginal(data, q))
+                for q in completed.queries
+            ], axis=1)
         if config.variant in ("oracle", "private"):
             self.sensitivity *= 2.0
         self.ledger = CommsLedger()
         self.oneway_estimates: dict[int, np.ndarray] = {}  # private proxy cache
-        self.oracle_skew: dict[int, dict[int, float]] = {}  # static per client
         self.by_attrs = {q.attrs: q for q in completed.queries}
         self.unmeasured: list[list[int]] = []  # this round's queries left unmeasured
 
@@ -238,9 +248,9 @@ class _FlaimLoop(Loop):
             if cfg.variant == "oracle" and size_est == 0:
                 self.unmeasured.append(list(query.attrs))
                 return None
-        vectors = [self.answers[k][query.attrs] for k in contributors]
         agg = secagg_round(
-            vectors, 0.0 if cfg.noiseless else sigma, fork(cfg.seed, "aggmeasure", t, *tag),
+            self.answers[query.attrs][contributors], 0.0 if cfg.noiseless else sigma,
+            fork(cfg.seed, "aggmeasure", t, *tag),
             self.ledger, clients=contributors, round_index=t, protocol=protocol,
         )
         if self.private:
@@ -275,46 +285,45 @@ class _FlaimLoop(Loop):
         unmeasured, self.unmeasured = self.unmeasured, []
         return {"unmeasured": unmeasured} if unmeasured else {}
 
-    def client_skew(self, k: int, candidates: list[int], model_oneways) -> dict[int, float]:
-        """Skew penalty of each candidate for client ``k``."""
-        client = self.answers[k]
+    def candidate_skew(self, participants: list[int], candidates: list[int]) -> np.ndarray | None:
+        """(participants x candidates) skew penalties; ``None`` for the naive variant."""
         if self.config.variant == "oracle":
-            cached = self.oracle_skew.get(k)
-            if cached is None:
-                cached = self.oracle_skew[k] = {
-                    i: oracle_heterogeneity(client[q.attrs], self.global_answers[q.attrs])
-                    for i, q in enumerate(self.completed.queries)
-                }
-            return {i: cached[i] for i in candidates}
-        if self.private:
-            reference = {a: self.oneway_estimates.get(a, model_oneways[a]) for a in model_oneways}
-            client_oneways = {a: client[(a,)] for a in model_oneways}
-            return {
-                i: heterogeneity_proxy(client_oneways, reference, self.completed.queries[i])
-                for i in candidates
-            }
-        return {}
+            return self.oracle_skew[np.ix_(participants, candidates)]
+        if not self.private:
+            return None
+        reference = {
+            a: self.oneway_estimates[a] if a in self.oneway_estimates else self.model.marginal_counts(q)
+            for a, q in enumerate(self.one_ways)
+        }
+        client_oneways = {a: self.answers[(a,)][participants] for a in reference}
+        return np.stack([
+            heterogeneity_proxy(client_oneways, reference, self.completed.queries[i]) for i in candidates
+        ], axis=1)
 
     def local_selections(
-        self, k: int, candidates: list[int], model_answers, skew, rho_used: float
+        self, k: int, candidates: list[int], model_answers, scores: np.ndarray, skew: np.ndarray | None,
+        rho_used: float,
     ) -> list[MarginalQuery]:
-        """Client ``k``'s local rounds; each but the last measures its pick
-        with the client's own noise and refits a local model."""
+        """Client ``k``'s local rounds, the first on its row of the round's
+        ``scores`` (``skew`` is its row of penalties); each but the last
+        measures its pick with the client's own noise and refits a local
+        model."""
         cfg, sigma, completed = self.config, self.schedule.sigma, self.completed
-        client, size = self.answers[k], int(self.sizes[k])
+        size = int(self.sizes[k])
         local_measurements: list[Measurement] = []
         local_model, local_answers = self.model, model_answers
         chosen: list[MarginalQuery] = []
+        step_candidates = candidates
         for l in range(cfg.local_rounds):
-            step_candidates = candidates
             if l > 0:  # local measurements may already have grown the model
                 step_candidates = filter_by_size(
                     completed, local_model, rho_used, self.rho, cfg.max_model_size, candidates
                 )
-            scores = _local_utilities(
-                client.__getitem__, local_answers, completed, step_candidates, sigma,
-                size if cfg.normalize_scores else None, skew,
-            )
+                scores = _local_utilities(
+                    lambda attrs: self.answers[attrs][k], local_answers, completed, step_candidates, sigma,
+                    size if cfg.normalize_scores else None,
+                    None if skew is None else skew[[candidates.index(i) for i in step_candidates]],
+                )
             if cfg.noiseless:
                 pick = int(np.argmax(scores))
             else:
@@ -326,7 +335,7 @@ class _FlaimLoop(Loop):
             if l + 1 < cfg.local_rounds:
                 scale = self.data.n_records / max(size, 1) if cfg.normalize_scores else 1.0
                 rng = fork(cfg.seed, "localmeasure", self.t, k, l)
-                local_measurements.append(self.measure(q, client[q.attrs], rng, scale))
+                local_measurements.append(self.measure(q, self.answers[q.attrs][k], rng, scale))
                 local_model = self.refit(
                     local_model, self.measurements + local_measurements, float(self.data.n_records)
                 )
@@ -343,9 +352,6 @@ class _FlaimLoop(Loop):
         pool = [i for i, q in enumerate(completed.queries) if not (self.private and len(q) == 1)]
         candidates = filter_by_size(completed, model, rho_used, self.rho, cfg.max_model_size, pool)
         model_answers = _model_answers(model, completed, candidates, cfg.normalize_scores)
-        model_oneways = (
-            {a: model.marginal_counts(q) for a, q in enumerate(self.one_ways)} if self.private else {}
-        )
         n_exp, sigma, eps = self.exp_per_round, self.schedule.sigma, self.schedule.eps
         self.accountant.charge(n_exp * exponential_cost(eps), "exponential_select", self.t, eps=eps, count=n_exp)
         self.accountant.charge(
@@ -353,12 +359,20 @@ class _FlaimLoop(Loop):
             sigma=sigma, count=self.gauss_per_round,
         )
 
+        # every participant's first local scores in one pass over its rows
+        skew = self.candidate_skew(participants, candidates)
+        scores = _local_utilities(
+            lambda attrs: self.answers[attrs][participants], model_answers, completed, candidates, sigma,
+            self.sizes[participants] if cfg.normalize_scores else None, skew,
+        )
+        if skew is None:
+            skew_log = dict.fromkeys(participants, _NO_SKEW)
+        else:
+            skew_log = {k: {"mean_skew": m} for k, m in zip(participants, skew.mean(axis=1).tolist())}
         selected: dict[tuple[int, ...], list[int]] = {}
-        skew_log: dict[int, dict] = {}
-        for k in participants:
-            skew = self.client_skew(k, candidates, model_oneways)
-            skew_log[k] = {"mean_skew": float(np.mean(list(skew.values()))) if skew else 0.0}
-            for q in self.local_selections(k, candidates, model_answers, skew, rho_used):
+        for row, k in enumerate(participants):
+            skew_row = None if skew is None else skew[row]
+            for q in self.local_selections(k, candidates, model_answers, scores[row], skew_row, rho_used):
                 selected.setdefault(q.attrs, []).append(k)
 
         # server-side admission: each selection fit the size cap on its own,

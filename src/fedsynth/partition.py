@@ -10,6 +10,7 @@ vector (flagged in the report).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,12 @@ class ClientPartition:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.n_clients)
+
+    @cached_property
+    def client_ids(self) -> list[int]:
+        """``0 .. K-1`` as one list of ints, so that every round log and
+        ledger naming sampled clients shares these objects."""
+        return list(range(self.n_clients))
 
 
 def partition_iid(data: DiscreteDataset, n_clients: int, seed: int) -> ClientPartition:
@@ -182,11 +189,13 @@ class HeterogeneityReport:
 
 def client_query_skew(
     client_counts: np.ndarray, global_counts: np.ndarray
-) -> float:
-    """L1 gap between normalized client and global marginals (in [0, 2])."""
-    return float(
-        np.abs(normalized_counts(client_counts) - normalized_counts(global_counts)).sum()
-    )
+) -> float | np.ndarray:
+    """L1 gap between normalized client and global marginals (in [0, 2]):
+    a float for one client's counts, a vector for (clients x cells) rows."""
+    gap = normalized_counts(client_counts)
+    gap -= normalized_counts(global_counts)
+    gap = np.abs(gap, out=gap).sum(axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def client_counts(
@@ -211,10 +220,7 @@ def heterogeneity_report(
         raise ValueError("partition does not cover the dataset")
     skews = np.zeros((partition.n_clients, len(workload)))
     for j, q in enumerate(workload.queries):
-        global_counts = evaluate_marginal(data, q)
-        per_client = client_counts(data, partition, q)
-        for k in range(partition.n_clients):
-            skews[k, j] = client_query_skew(per_client[k], global_counts)
+        skews[:, j] = client_query_skew(client_counts(data, partition, q), evaluate_marginal(data, q))
     empty = tuple(int(k) for k in np.nonzero(partition.sizes() == 0)[0])
     return HeterogeneityReport(skews, workload.queries, empty)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from array import array
+from typing import Sequence
 
 import numpy as np
 
@@ -28,18 +28,14 @@ _LEDGER_FIELDS = ["client", "round", "bytes_sent", "bytes_received", "protocol"]
 class CommsLedger:
     """Per-client bytes sent/received by round and protocol.
 
-    Charges are kept as integer columns, with each protocol stored as an
-    index into a list of names.
+    Charges are kept as message blocks ``(clients, round, sizes, received,
+    protocol)``: each client of a block sends one message of each byte size
+    in ``sizes`` and receives ``received`` bytes with each.  A block reads
+    as one row per message, client by client, in the order it was charged.
     """
 
     def __init__(self):
-        self.clients = array("q")
-        self.rounds = array("q")
-        self.bytes_sent = array("q")
-        self.bytes_received = array("q")
-        self.protocol_ids = array("q")
-        self.protocols: list[str] = []
-        self._protocol_index: dict[str, int] = {}
+        self.blocks: list[tuple[Sequence[int], int, tuple[int, ...], int, str]] = []
 
     def charge(
         self,
@@ -51,22 +47,21 @@ class CommsLedger:
     ) -> None:
         if bytes_sent < 0 or bytes_received < 0:
             raise ValueError("byte counts must be non-negative")
-        pid = self._protocol_index.get(protocol)
-        if pid is None:
-            pid = self._protocol_index[protocol] = len(self.protocols)
-            self.protocols.append(protocol)
-        self.clients.append(int(client))
-        self.rounds.append(int(round_index))
-        self.bytes_sent.append(int(bytes_sent))
-        self.bytes_received.append(int(bytes_received))
-        self.protocol_ids.append(pid)
+        self.charge_block((int(client),), round_index, (int(bytes_sent),), int(bytes_received), protocol)
+
+    def charge_block(
+        self, clients: Sequence[int], round_index: int, sizes: tuple[int, ...], received: int, protocol: str
+    ) -> None:
+        """Charge every client in ``clients`` one message of each size in
+        ``sizes``.  Both are kept as given, not copied, so callers can share
+        one sequence across blocks and must not change it afterwards."""
+        self.blocks.append((clients, int(round_index), sizes, received, protocol))
 
     def _rows(self):
-        names = self.protocols
-        for client, rnd, sent, received, pid in zip(
-            self.clients, self.rounds, self.bytes_sent, self.bytes_received, self.protocol_ids
-        ):
-            yield client, rnd, sent, received, names[pid]
+        for clients, rnd, sizes, received, protocol in self.blocks:
+            for client in clients:
+                for sent in sizes:
+                    yield client, rnd, sent, received, protocol
 
     @property
     def entries(self) -> list[dict]:
@@ -76,8 +71,10 @@ class CommsLedger:
     def client_totals(self) -> dict[int, int]:
         """Total traffic (sent + received) per client."""
         totals: dict[int, int] = {}
-        for client, sent, received in zip(self.clients, self.bytes_sent, self.bytes_received):
-            totals[client] = totals.get(client, 0) + sent + received
+        for clients, _, sizes, received, _ in self.blocks:
+            per_client = sum(sizes) + received * len(sizes)
+            for client in clients:
+                totals[client] = totals.get(client, 0) + per_client
         return totals
 
     def to_csv(self) -> str:
@@ -146,6 +143,7 @@ class ShareAccumulator:
             tuple(k): None for k in query_keys
         }
         self.mass = 0.0
+        self._sizes: tuple[int, ...] | None = None  # bytes a client sends per query, once known
 
     def add_client(
         self,
@@ -159,21 +157,19 @@ class ShareAccumulator:
 
         The sum of a client's fresh shares over all parties is its encoded
         answer, so that is what is accumulated; the ledger is charged for
-        every share the client sends, as :func:`share` charges it.
+        every share the client sends, as :func:`share` charges it, in one
+        ledger block.
         """
         for key in self.sums:
             encoded = _encode(answers[key])
-            if ledger is not None:
-                ledger.charge(
-                    client,
-                    round_index,
-                    bytes_sent=encoded.size * SHARE_BYTES * self.parties,
-                    protocol="distaim",
-                )
             if self.sums[key] is None:
                 self.sums[key] = encoded
             else:
                 self.sums[key] += encoded
+        if self._sizes is None:
+            self._sizes = tuple(s.size * SHARE_BYTES * self.parties for s in self.sums.values())
+        if ledger is not None:
+            ledger.charge_block((int(client),), round_index, self._sizes, 0, "distaim")
         self.mass += client_size
 
     def current(self, key: tuple[int, ...]) -> np.ndarray:
@@ -184,34 +180,31 @@ class ShareAccumulator:
 
 
 def secagg_round(
-    contributions: list[np.ndarray],
+    contributions: list[np.ndarray] | np.ndarray,
     sigma: float,
     rng: np.random.Generator,
     ledger: CommsLedger | None = None,
-    clients: list[int] | None = None,
+    clients: Sequence[int] | None = None,
     round_index: int = 0,
     protocol: str = "secagg",
 ) -> np.ndarray:
     """Exact sum of client vectors plus one central N(0, sigma^2) per cell.
 
-    Noise is added once per aggregate, not per client; each client is
-    charged the bytes of its own vector.
+    ``contributions`` is a list of vectors or a (contributors x cells)
+    matrix.  Noise is added once per aggregate, not per client; each client
+    is charged the bytes of its own vector, in one ledger block.
     """
-    if not contributions:
+    if len(contributions) == 0:
         raise ValueError("no contributions")
     stacked = np.asarray(contributions, dtype=np.float64)
     if stacked.ndim != 2:
         raise ValueError("contribution vectors must share one length")
     total = stacked.sum(axis=0)
     if ledger is not None:
-        ids = clients if clients is not None else list(range(len(contributions)))
-        for cid, vec in zip(ids, contributions):
-            ledger.charge(
-                cid,
-                round_index,
-                bytes_sent=np.asarray(vec).size * SHARE_BYTES,
-                protocol=protocol,
-            )
+        ids = range(len(stacked)) if clients is None else clients
+        if len(ids) != len(stacked):
+            raise ValueError("need one client id per contribution")
+        ledger.charge_block(ids, round_index, (stacked.shape[1] * SHARE_BYTES,), 0, protocol)
     if sigma > 0:
         total = gaussian_mechanism(total, sigma, rng)
     return total

@@ -9,6 +9,7 @@ from fedsynth.federated import FedConfig, run_distaim, run_flaim
 from fedsynth.model import ModelState
 from fedsynth.partition import ClientPartition, synthfs
 from fedsynth.privacy import exponential_cost, gaussian_cost
+from fedsynth.rng import fork
 from fedsynth.workload import Workload, complete_workload, random_workload, workload_error
 
 
@@ -113,7 +114,7 @@ def test_aim_utilities_hand_values():
     raw = {0: np.array([4.0, 4.0]), 1: np.array([2.0, 2.0, 0.0, 0.0, 2.0, 2.0])}
     per_record = {i: normalized_counts(a) for i, a in raw.items()}
     sigma = 0.5 / ROOT_2_OVER_PI  # noise terms 1 and 3 for the 2- and 6-cell queries
-    skew = {0: 0.5, 1: 2.0}
+    skew = np.array([2.0, 0.5])  # per candidate, in candidate order: queries 1 and 0
 
     def scores(model_answers, **kwargs):
         return _aim_utilities(answers.__getitem__, model_answers, workload, [1, 0], sigma, **kwargs)
@@ -129,6 +130,33 @@ def test_aim_utilities_hand_values():
     )
     # no mass at all counts as one record
     np.testing.assert_allclose(scores(per_record, mass=0), [0.5 * (0.75 - 3), 2.0 * (0.5 - 1)])
+
+
+@pytest.mark.parametrize("with_skew", [True, False])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_aim_utilities_rows_match_one_row_at_a_time(normalize, with_skew):
+    rng = fork(12, "utility-rows")
+    dom = Domain.make(["a", "b", "c"], [3, 9, 20])
+    queries = [MarginalQuery.make(dom, attrs) for attrs in [(0,), (1,), (0, 1), (1, 2), (0, 1, 2)]]
+    workload = Workload(tuple(queries), tuple(rng.random(len(queries)) + 0.5))
+    block = {q.attrs: rng.integers(0, 12, size=(5, q.cardinality)).astype(np.int32) for q in queries}
+    for rows in block.values():
+        rows[3] = 0  # an empty client
+    sizes = block[(0,)].sum(axis=1)
+    candidates = [4, 0, 2, 3]
+    model = {i: rng.random(queries[i].cardinality) * 10 for i in candidates}
+    if normalize:
+        model = {i: normalized_counts(a) for i, a in model.items()}
+    skew = rng.random((5, len(candidates))) if with_skew else None
+    sigma = 1.3
+    scores = _aim_utilities(block.__getitem__, model, workload, candidates, sigma,
+                            sizes if normalize else None, skew)
+    assert scores.shape == (5, len(candidates))
+    for r in range(5):
+        one = _aim_utilities(lambda attrs: block[attrs][r], model, workload, candidates, sigma,
+                             int(sizes[r]) if normalize else None, None if skew is None else skew[r])
+        assert one.shape == (len(candidates),)
+        np.testing.assert_array_equal(scores[r], one)
 
 
 def test_perfectly_fit_query_has_negative_utility(small_problem):

@@ -93,3 +93,16 @@ def test_marginal_total_and_consistency(seed, n_rows):
 def test_normalized_counts_zero_convention():
     assert normalized_counts(np.zeros(4)).tolist() == [0, 0, 0, 0]
     np.testing.assert_allclose(normalized_counts(np.array([1.0, 3.0])), [0.25, 0.75])
+
+
+@pytest.mark.parametrize("cells", [1, 3, 9, 130, 300])
+def test_normalized_counts_rows_match_one_row_at_a_time(cells):
+    rng = np.random.default_rng(cells)
+    block = rng.integers(0, 50, size=(7, cells)) * rng.random((7, cells))
+    block[2] = 0.0  # a row with no mass
+    block[5] = -block[5]  # negative mass counts as none
+    rows = normalized_counts(block)
+    assert rows.shape == block.shape
+    for r in range(len(block)):
+        np.testing.assert_array_equal(rows[r], normalized_counts(block[r]))
+    assert not rows[2].any() and not rows[5].any()

@@ -62,12 +62,25 @@ def test_client_answers_match_per_client_counts(kind):
     assert np.any(partition.sizes() == 0)
     queries = [MarginalQuery.make(dom, attrs) for attrs in [(0,), (1, 2), (0, 1, 2), (0, 2)]]
     answers = _client_answers(data, partition, queries)
-    assert len(answers) == partition.n_clients
-    for k in range(partition.n_clients):
-        local = client_data(partition, data, k)
-        for q in queries:
-            np.testing.assert_array_equal(answers[k][q.attrs], evaluate_marginal(local, q))
-            assert not answers[k][q.attrs].flags.writeable
+    assert list(answers) == [q.attrs for q in queries]
+    for q in queries:
+        matrix = answers[q.attrs]
+        assert matrix.shape == (partition.n_clients, q.cardinality)
+        assert matrix.dtype == np.int16
+        assert not matrix.flags.writeable
+        for k in range(partition.n_clients):
+            np.testing.assert_array_equal(matrix[k], evaluate_marginal(client_data(partition, data, k), q))
+
+
+def test_client_answers_widen_for_a_client_int16_cannot_count():
+    dom = Domain.make(["a"], [2])
+    rows = np.zeros((40_000, 1), dtype=np.int64)
+    rows[:3] = 1
+    data = DiscreteDataset(dom, rows)
+    partition = ClientPartition(np.r_[np.zeros(39_000, dtype=int), np.ones(1_000, dtype=int)], 2)
+    (matrix,) = _client_answers(data, partition, [MarginalQuery.make(dom, (0,))]).values()
+    assert matrix.dtype == np.int32
+    np.testing.assert_array_equal(matrix, [[38_997, 3], [1_000, 0]])
 
 
 # --- distributed protocol -------------------------------------------------------------
@@ -349,6 +362,25 @@ def test_proxy_missing_estimate_rejected():
     q = MarginalQuery(attrs=(0, 1), cardinality=4)
     with pytest.raises(KeyError):
         heterogeneity_proxy({0: np.ones(2), 1: np.ones(2)}, {0: np.ones(2)}, q)
+
+
+def test_proxy_rows_match_one_client_at_a_time():
+    cards = [2, 3, 5, 9, 4, 130, 7]
+    dom = Domain.make([f"a{i}" for i in range(len(cards))], cards)
+    rng = fork(11, "proxy-rows")
+    client = {a: rng.integers(0, 15, size=(6, c)) for a, c in enumerate(cards)}
+    for rows in client.values():
+        rows[4] = 0  # an empty client
+    reference = {a: rng.random(c) for a, c in enumerate(cards)}
+    for arity in range(1, len(cards) + 1):
+        q = MarginalQuery.make(dom, range(len(cards) - arity, len(cards)))
+        proxies = heterogeneity_proxy(client, reference, q)
+        assert proxies.shape == (6,)
+        for k in range(6):
+            one = {a: rows[k] for a, rows in client.items()}
+            assert proxies[k] == heterogeneity_proxy(one, reference, q)
+            # the mean of a list of per-attribute gaps, as one client's proxy was once computed
+            assert proxies[k] == float(np.mean([oracle_heterogeneity(one[a], reference[a]) for a in q.attrs]))
 
 
 def test_proxy_correlates_with_exact_on_clustered_split(fed_problem):

@@ -198,3 +198,30 @@ def test_client_query_skew_bounds():
     for _ in range(20):
         a, b = rng.uniform(0, 10, 6), rng.uniform(0, 10, 6)
         assert 0.0 <= client_query_skew(a, b) <= 2.0
+
+
+@pytest.mark.parametrize("cells", [1, 3, 9, 130])
+def test_client_query_skew_rows_match_one_client_at_a_time(cells):
+    rng = np.random.default_rng(cells)
+    block = rng.integers(0, 20, size=(6, cells))
+    block[1] = 0  # an empty client
+    global_counts = block.sum(axis=0) + 1.0
+    gaps = client_query_skew(block, global_counts)
+    assert gaps.shape == (6,)
+    for k in range(6):
+        one = client_query_skew(block[k], global_counts)
+        assert isinstance(one, float)
+        assert gaps[k] == one
+
+
+def test_heterogeneity_report_matches_per_client_loop():
+    data = toy_data(n=120, seed=3)
+    part = partition_label_skew(data, 30, 2, beta=0.3, seed=1)
+    assert np.any(part.sizes() == 0)
+    workload = random_workload(data.domain, 2, 3, seed=0)
+    report = heterogeneity_report(data, part, workload)
+    for j, q in enumerate(workload.queries):
+        global_counts = evaluate_marginal(data, q)
+        for k in range(part.n_clients):
+            local = data.subset(np.nonzero(part.assignments == k)[0])
+            assert report.per_client[k, j] == client_query_skew(evaluate_marginal(local, q), global_counts)

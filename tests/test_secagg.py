@@ -149,3 +149,45 @@ def test_ledger_csv_export():
     assert lines[2] == "2,1,0,50,y"
     with pytest.raises(ValueError):
         ledger.charge(1, 0, bytes_sent=-1)
+
+
+def test_ledger_blocks_read_as_per_charge_rows():
+    """A block reads as the rows its charges would have made one by one:
+    client by client, one row per message size, in the order charged."""
+    blocks, reference = CommsLedger(), CommsLedger()
+    sizes = (24, 96, 8)  # one tuple shared by several blocks
+    for k in (4, 0, 9):
+        blocks.charge_block((k,), 1, sizes, 0, "distaim")
+        for sent in sizes:
+            reference.charge(k, 1, bytes_sent=sent, protocol="distaim")
+    blocks.charge_block((3, 8, 4), 2, (40,), 0, "flaim")
+    for k in (3, 8, 4):
+        reference.charge(k, 2, bytes_sent=40, protocol="flaim")
+    for ledger in (blocks, reference):
+        ledger.charge(7, 3, bytes_sent=5, bytes_received=11, protocol="x")
+    blocks.charge_block((1, 2), 4, (6, 7), 3, "y")
+    for k in (1, 2):
+        for sent in (6, 7):
+            reference.charge(k, 4, bytes_sent=sent, bytes_received=3, protocol="y")
+    assert blocks.entries == reference.entries
+    assert len(blocks.entries) == 9 + 3 + 1 + 4
+    assert list(blocks.client_totals().items()) == list(reference.client_totals().items())
+    assert blocks.to_csv() == reference.to_csv()
+
+
+def test_secagg_round_takes_a_list_or_a_matrix():
+    matrix = fork(13).integers(0, 50, size=(4, 6)).astype(np.int32)
+    clients = [2, 5, 7, 11]
+    by_list, by_matrix, reference = CommsLedger(), CommsLedger(), CommsLedger()
+    a = secagg_round(list(matrix), 1.5, fork(14, "agg"), by_list, clients=clients, round_index=3, protocol="f")
+    b = secagg_round(matrix, 1.5, fork(14, "agg"), by_matrix, clients=clients, round_index=3, protocol="f")
+    assert a.tobytes() == b.tobytes()
+    np.testing.assert_array_equal(secagg_round(matrix, 0.0, fork(15)), matrix.sum(axis=0))
+    for k in clients:
+        reference.charge(k, 3, bytes_sent=6 * 8, protocol="f")
+    assert by_list.to_csv() == by_matrix.to_csv() == reference.to_csv()
+    for empty in ([], matrix[:0]):
+        with pytest.raises(ValueError, match="no contributions"):
+            secagg_round(empty, 0.0, fork(15))
+    with pytest.raises(ValueError, match="one client id"):
+        secagg_round(matrix, 0.0, fork(15), CommsLedger(), clients=[1, 2])
