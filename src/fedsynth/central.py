@@ -6,10 +6,12 @@ maximum-entropy model.  The loop either runs a fixed number of rounds on a
 constant schedule that consumes the budget exactly, or adapts the round
 count by budget annealing with a final-round adjustment.
 
-``Loop`` runs that control flow for AIM, DistAIM and FLAIM alike; a
-protocol supplies only its initialization and one round's selection and
-measurement.  ``AimLoop`` selects and measures on the server, over exact
-answers here and over pooled client answers in ``federated``.
+``Loop`` runs that control flow for AIM, DistAIM and FLAIM alike, and is
+the one place that sizes the model cap, picks a query, draws Gaussian noise
+and releases a measurement; a protocol supplies only its initialization
+and one round's selection and measurement.  ``AimLoop`` selects and
+measures on the server, over exact answers here and over pooled client
+answers in ``federated``.
 """
 
 from __future__ import annotations
@@ -71,17 +73,11 @@ class AimResult:
 
 
 def filter_by_size(
-    workload: Workload,
-    model: ModelState,
-    rho_used: float,
-    rho_total: float,
-    max_model_size: int,
-    pool: list[int] | None = None,
+    workload: Workload, model: ModelState, limit: float, pool: list[int] | None = None
 ) -> list[int]:
     """Indices of queries (of ``pool``, default all) whose hypothetical
-    model stays within the budgeted share of the size cap; falls back to the
-    single smallest candidate so a selection step always has one."""
-    limit = (rho_used / rho_total) * max_model_size
+    model stays within ``limit`` bytes; falls back to the single smallest
+    candidate so a selection step always has one."""
     if pool is None:
         pool = list(range(len(workload.queries)))
     sizes = {i: model.size_bytes(workload.queries[i]) for i in pool}
@@ -91,17 +87,9 @@ def filter_by_size(
     return admitted
 
 
-def _model_answers(
-    model: ModelState, workload: Workload, candidates: list[int], normalize: bool
-) -> dict[int, np.ndarray]:
-    """The model's answer to each candidate, per record with ``normalize``."""
-    answers = {i: model.marginal_counts(workload.queries[i]) for i in candidates}
-    return {i: normalized_counts(a) for i, a in answers.items()} if normalize else answers
-
-
 def _aim_utilities(
     answer: Callable[[tuple[int, ...]], np.ndarray],
-    model_answers: dict[int, np.ndarray],
+    model: ModelState,
     workload: Workload,
     candidates: list[int],
     sigma: float,
@@ -111,8 +99,7 @@ def _aim_utilities(
     """AIM's quality score of each candidate: the weighted L1 gap between
     its answer and the model's, less the expected noise and the candidate's
     ``skew`` penalty.  With ``mass``, gaps compare per-record frequencies
-    (``model_answers`` must be normalized too) and the noise term is divided
-    by the mass, floored at 1.
+    and the noise term is divided by the mass, floored at 1.
 
     ``answer`` may return one answer or a (rows x cells) block, one row per
     client; ``mass`` is then a scalar or one value per row, and ``skew``
@@ -121,12 +108,12 @@ def _aim_utilities(
     columns = []
     for j, i in enumerate(candidates):
         q = workload.queries[i]
-        counts = answer(q.attrs)
+        counts, estimate = answer(q.attrs), model.marginal_counts(q)
         penalty = ROOT_2_OVER_PI * sigma * q.cardinality
         if mass is not None:
-            counts = normalized_counts(counts)
+            counts, estimate = normalized_counts(counts), normalized_counts(estimate)
             penalty = penalty / np.maximum(mass, 1.0)
-        gap = np.abs(counts - model_answers[i]).sum(axis=-1) - penalty
+        gap = np.abs(counts - estimate).sum(axis=-1) - penalty
         if skew is not None:
             gap = gap - skew[..., j]
         columns.append(workload.weights[i] * gap)
@@ -139,15 +126,22 @@ class Loop:
     The loop owns the noise schedule, the stopping rule, the warm-started
     fit after each round, the annealing check, the final-round budget
     adjustment, the round-log fields every protocol writes and the final
-    fit.  A protocol supplies ``initialize`` (its first measurements and
-    model) and ``step`` (one round's selections and measurements, returning
-    the round's own log fields and the queries it measured, or ``None`` when
-    nobody was sampled).  Every schedule is sized from the counts a protocol
+    fit.  It is also the one place that sets the round's size limit
+    (``size_limit``), picks a candidate (``select``), draws measurement
+    noise (``noised``), rescales pooled counts to the population
+    (``scale``) and builds a measurement (``release``).  A protocol supplies
+    ``initialize`` (its first measurements and model) and ``step`` (one
+    round's selections and measurements, returning the round's own log
+    fields and the queries it measured, or ``None`` when nobody was
+    sampled).  Every schedule is sized from the counts a protocol
     declares: ``n_init`` initial one-way measurements, and
     ``gauss_per_round`` measurements and ``exp_per_round`` selections a
-    round.  ``cap`` bounds the attempted rounds.
+    round.  ``cap`` bounds the attempted rounds.  ``mass`` is the record
+    count the server's scores and measurements are pooled over, or ``None``
+    for raw counts.
     """
 
+    mass: float | None = None
     retries_empty = False  # whether a round nobody joined is retried instead of counted
     gauss_per_round = exp_per_round = 1
     anneal_rounds_factor = 16  # an annealing start budgets for this many rounds per attribute
@@ -200,11 +194,32 @@ class Loop:
             total=total, warm_start=warm_start,
         )
 
-    def measure(self, query: MarginalQuery, counts: np.ndarray, rng, scale: float = 1.0) -> Measurement:
-        """Gaussian measurement of ``counts`` at the round's sigma, times ``scale``."""
+    def size_limit(self) -> float:
+        """Model bytes a selection may reach: the cap times the share of the budget spent so far."""
+        return (self.accountant.rho_used / self.rho) * self.config.max_model_size
+
+    def select(self, scores: np.ndarray, *rng_path) -> int:
+        """Index of the selected score: the exponential mechanism at the
+        round's eps, or the argmax when noiseless."""
+        if self.config.noiseless:
+            return int(np.argmax(scores))
+        rng = fork(self.config.seed, "select", *rng_path)
+        return exponential_mechanism(scores, self.schedule.eps, self.sensitivity, rng)
+
+    def noised(self, counts: np.ndarray, rng) -> np.ndarray:
+        """``counts`` plus Gaussian noise at the round's sigma; exact when noiseless."""
+        return counts if self.config.noiseless else gaussian_mechanism(counts, self.schedule.sigma, rng)
+
+    def scale(self, mass: float | None) -> float:
+        """Factor from counts pooled over ``mass`` records to the population's; 1 for raw counts."""
+        return 1.0 if mass is None else self.data.n_records / max(mass, 1.0)
+
+    def release(self, query: MarginalQuery, noisy: np.ndarray, mass: float | None = None,
+                weight: float = 1.0) -> Measurement:
+        """The round's measurement of ``query``: ``noisy`` rescaled from
+        ``mass`` records, weighted ``weight / sigma``."""
         sigma = self.schedule.sigma
-        noisy = counts if self.config.noiseless else gaussian_mechanism(counts, sigma, rng)
-        return Measurement(self.t, query, noisy * scale, sigma, 1.0 / sigma)
+        return Measurement(self.t, query, noisy * self.scale(mass), sigma, weight / sigma)
 
     def measure_init(self, one_ways: list[MarginalQuery], measure, total: float | None = None) -> ModelState:
         """Measure every one-way with ``measure`` (``None`` leaves one
@@ -215,10 +230,6 @@ class Loop:
         )
         self.measurements += [m for m in map(measure, one_ways) if m is not None]
         return self.refit(total=total)
-
-    def annealing_sigma(self) -> float:
-        """Noise scale the annealing check compares model movement against."""
-        return self.schedule.sigma
 
     def schedule_final_round(self) -> None:
         """Under annealing, switch to parameters that spend the rest of the
@@ -259,7 +270,7 @@ class Loop:
                 break
             if not annealing:
                 continue
-            sigma = self.annealing_sigma()
+            sigma = self.schedule.sigma * self.scale(self.mass)
             if any(
                 annealing_condition(
                     float(np.abs(self.model.marginal_counts(q) - before).sum()), sigma, q.cardinality
@@ -281,24 +292,16 @@ class AimLoop(Loop):
     sets ``mass`` to the pooled record count.
     """
 
-    mass: float | None = None
-
     def answer(self, attrs: tuple[int, ...]) -> np.ndarray:
         return self.exact[attrs]
-
-    @property
-    def rescale(self) -> float:
-        """Factor from pooled counts to the population's; 1 for raw scores."""
-        return 1.0 if self.mass is None else self.data.n_records / max(self.mass, 1.0)
-
-    def annealing_sigma(self) -> float:
-        return self.schedule.sigma * self.rescale
 
     def initialize(self) -> ModelState:
         data, rng = self.data, fork(self.config.seed, "init")
         self.exact = {q.attrs: evaluate_marginal(data, q) for q in self.completed.queries}
         one_ways = [MarginalQuery.make(self.domain, (a,)) for a in range(len(self.domain))]
-        model = self.measure_init(one_ways, lambda q: self.measure(q, evaluate_marginal(data, q), rng))
+        model = self.measure_init(
+            one_ways, lambda q: self.release(q, self.noised(evaluate_marginal(data, q), rng))
+        )
         self.rounds.append(
             {"t": 0, "phase": "init", "sigma": self.schedule.sigma, "eps": self.schedule.eps,
              "rho_used": self.accountant.rho_used}
@@ -308,20 +311,16 @@ class AimLoop(Loop):
     def select_and_measure(self) -> tuple[MarginalQuery, float]:
         """Size filter, scores, exponential selection and Gaussian
         measurement of one round; returns the chosen query and its score."""
-        cfg, schedule, completed = self.config, self.schedule, self.completed
+        schedule, completed = self.schedule, self.completed
         key = self.spent + 1  # rng path of the round, whatever was retried before it
-        candidates = filter_by_size(completed, self.model, self.accountant.rho_used, self.rho, cfg.max_model_size)
-        model_answers = _model_answers(self.model, completed, candidates, self.mass is not None)
-        scores = _aim_utilities(self.answer, model_answers, completed, candidates, schedule.sigma, self.mass)
+        candidates = filter_by_size(completed, self.model, self.size_limit())
+        scores = _aim_utilities(self.answer, self.model, completed, candidates, schedule.sigma, self.mass)
         self.accountant.charge(exponential_cost(schedule.eps), "exponential_select", self.t, eps=schedule.eps)
-        if cfg.noiseless:
-            pick = int(np.argmax(scores))
-        else:
-            pick = exponential_mechanism(scores, schedule.eps, self.sensitivity, fork(cfg.seed, "select", key))
+        pick = self.select(scores, key)
         chosen = completed.queries[candidates[pick]]
         self.accountant.charge(gaussian_cost(schedule.sigma), "gaussian_measure", self.t, sigma=schedule.sigma)
-        counts = self.answer(chosen.attrs)
-        self.measurements.append(self.measure(chosen, counts, fork(cfg.seed, "measure", key), self.rescale))
+        noisy = self.noised(self.answer(chosen.attrs), fork(self.config.seed, "measure", key))
+        self.measurements.append(self.release(chosen, noisy, self.mass))
         return chosen, float(scores[pick])
 
     def step(self) -> tuple[dict, list[MarginalQuery]]:

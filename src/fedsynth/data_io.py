@@ -4,7 +4,9 @@ Schema format (JSON): a list of field objects, each with
 ``name``, ``kind`` ("categorical" or "continuous"), and for continuous
 fields ``min``, ``max`` and optionally ``bins`` (default 32).  Categorical
 fields may pin ``categories``; otherwise values are mapped in first-seen
-order.  Bounds are treated as public knowledge.
+order.  Bounds are treated as public knowledge.  A field object with a key
+outside these, or without ``name`` or ``kind``, is refused, and so is a
+non-finite value (``nan``, ``inf``) in a continuous column.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,6 +56,16 @@ class Schema:
             raw = json.load(fh)
         if isinstance(raw, dict):
             raw = raw["fields"]
+        known = {f.name for f in fields(SchemaField)}
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                raise ValueError(f"schema field {i}: expected an object, got {entry!r}")
+            unknown = sorted(set(entry) - known)
+            missing = [key for key in ("name", "kind") if key not in entry]
+            if unknown or missing:
+                raise ValueError(
+                    f"schema field {entry.get('name', i)!r}: unknown keys {unknown}, missing keys {missing}"
+                )
         return cls([SchemaField(**entry) for entry in raw])
 
 
@@ -75,7 +87,8 @@ def discretize(
 
     Continuous values map to uniform-width bins over [min, max] with the top
     edge inclusive; values outside the declared range are clamped to the
-    boundary bin and counted in the report.
+    boundary bin and counted in the report.  A non-finite continuous value
+    has no bin and raises ``ValueError``.
     """
     if len(columns) != len(schema.fields):
         raise ValueError(f"expected {len(schema.fields)} columns, got {len(columns)}")
@@ -85,6 +98,9 @@ def discretize(
     for raw, f in zip(columns, schema.fields):
         if f.kind == "continuous":
             values = np.asarray(raw, dtype=np.float64)
+            nonfinite = int((~np.isfinite(values)).sum())
+            if nonfinite:
+                raise ValueError(f"field {f.name!r} has {nonfinite} non-finite value(s)")
             width = (f.max - f.min) / f.bins
             idx = np.floor((values - f.min) / width).astype(np.int64)
             low = int((values < f.min).sum())

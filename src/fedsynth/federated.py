@@ -30,14 +30,14 @@ from itertools import compress
 
 import numpy as np
 
-from .central import AimConfig, AimLoop, Loop, _model_answers, filter_by_size
+from .central import AimConfig, AimLoop, Loop, filter_by_size
 from .central import _aim_utilities as _local_utilities  # kept by name; perfbench traces client scoring here
 from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal, normalized_counts
 from .model import Measurement, ModelState, component_bytes, merged_components
 from .model import fit  # noqa: F401  (kept as a module attribute; perfbench patches it here)
 from .partition import ClientPartition, client_counts, client_query_skew
 from .partition import client_query_skew as oracle_heterogeneity  # the oracle variant's exact skew
-from .privacy import PrivacyAccountant, exponential_cost, exponential_mechanism, gaussian_cost
+from .privacy import PrivacyAccountant, exponential_cost, gaussian_cost
 from .rng import fork
 from .secagg import CommsLedger, ShareAccumulator, secagg_round
 from .workload import Workload, complete_workload
@@ -162,7 +162,9 @@ class _DistAimLoop(AimLoop):
         else:
             raise RuntimeError("no clients ever participated; cannot initialize the model")
         rng = fork(self.config.seed, "init")
-        model = self.measure_init(self.one_ways, lambda q: self.measure(q, self.answer(q.attrs), rng, self.rescale))
+        model = self.measure_init(
+            self.one_ways, lambda q: self.release(q, self.noised(self.answer(q.attrs), rng), self.mass)
+        )
         self.rounds.append(
             {"t": self.t, "phase": "init", "participants": sampled,
              "sigma": self.schedule.sigma, "rho_used": self.accountant.rho_used}
@@ -235,11 +237,11 @@ class _FlaimLoop(Loop):
     def measure_aggregate(
         self, query: MarginalQuery, contributors: list[int], tag, protocol: str
     ) -> Measurement | None:
-        """The contributors' securely aggregated, noised answers to ``query``;
-        ``None`` (the query is noted in ``unmeasured``) when weights come
-        from public sizes and every contributor holds no rows, so the
-        measurement would carry no weight."""
-        cfg, sigma, t = self.config, self.schedule.sigma, self.t
+        """The contributors' securely aggregated answers to ``query``, noised
+        once centrally; ``None`` (the query is noted in ``unmeasured``) when
+        weights come from public sizes and every contributor holds no rows,
+        so the measurement would carry no weight."""
+        cfg, t = self.config, self.t
         # contributor mass: the private variant self-estimates it from the
         # noisy cells; the others may treat sizes as public.  It weights the
         # measurement (except for the naive variant) and normalizes its scale.
@@ -248,16 +250,15 @@ class _FlaimLoop(Loop):
             if cfg.variant == "oracle" and size_est == 0:
                 self.unmeasured.append(list(query.attrs))
                 return None
-        agg = secagg_round(
-            self.answers[query.attrs][contributors], 0.0 if cfg.noiseless else sigma,
-            fork(cfg.seed, "aggmeasure", t, *tag),
-            self.ledger, clients=contributors, round_index=t, protocol=protocol,
+        total = secagg_round(
+            self.answers[query.attrs][contributors], self.ledger,
+            clients=contributors, round_index=t, protocol=protocol,
         )
+        noisy = self.noised(total, fork(cfg.seed, "aggmeasure", t, *tag))
         if self.private:
-            size_est = max(float(agg.sum()), 1.0)
-        weight = (1.0 if cfg.variant == "naive" else size_est) / sigma
-        scaled = agg * (self.data.n_records / max(size_est, 1.0)) if cfg.normalize_scores else agg
-        return Measurement(t, query, scaled, sigma, weight)
+            size_est = max(float(noisy.sum()), 1.0)
+        weight = 1.0 if cfg.variant == "naive" else size_est
+        return self.release(query, noisy, size_est if cfg.normalize_scores else None, weight)
 
     def initialize(self) -> ModelState:
         if self.private:
@@ -301,45 +302,33 @@ class _FlaimLoop(Loop):
         ], axis=1)
 
     def local_selections(
-        self, k: int, candidates: list[int], model_answers, scores: np.ndarray, skew: np.ndarray | None,
-        rho_used: float,
+        self, k: int, candidates: list[int], scores: np.ndarray, skew: np.ndarray | None, limit: float,
     ) -> list[MarginalQuery]:
         """Client ``k``'s local rounds, the first on its row of the round's
-        ``scores`` (``skew`` is its row of penalties); each but the last
-        measures its pick with the client's own noise and refits a local
-        model."""
+        ``scores`` (``skew`` is its row of penalties) and all under the
+        round's size ``limit``; each but the last measures its pick with the
+        client's own noise and refits a local model."""
         cfg, sigma, completed = self.config, self.schedule.sigma, self.completed
-        size = int(self.sizes[k])
+        mass = int(self.sizes[k]) if cfg.normalize_scores else None
         local_measurements: list[Measurement] = []
-        local_model, local_answers = self.model, model_answers
+        local_model = self.model
         chosen: list[MarginalQuery] = []
         step_candidates = candidates
         for l in range(cfg.local_rounds):
             if l > 0:  # local measurements may already have grown the model
-                step_candidates = filter_by_size(
-                    completed, local_model, rho_used, self.rho, cfg.max_model_size, candidates
-                )
+                step_candidates = filter_by_size(completed, local_model, limit, candidates)
                 scores = _local_utilities(
-                    lambda attrs: self.answers[attrs][k], local_answers, completed, step_candidates, sigma,
-                    size if cfg.normalize_scores else None,
+                    lambda attrs: self.answers[attrs][k], local_model, completed, step_candidates, sigma, mass,
                     None if skew is None else skew[[candidates.index(i) for i in step_candidates]],
                 )
-            if cfg.noiseless:
-                pick = int(np.argmax(scores))
-            else:
-                pick = exponential_mechanism(
-                    scores, self.schedule.eps, self.sensitivity, fork(cfg.seed, "select", self.t, k, l)
-                )
-            q = completed.queries[step_candidates[pick]]
+            q = completed.queries[step_candidates[self.select(scores, self.t, k, l)]]
             chosen.append(q)
             if l + 1 < cfg.local_rounds:
-                scale = self.data.n_records / max(size, 1) if cfg.normalize_scores else 1.0
-                rng = fork(cfg.seed, "localmeasure", self.t, k, l)
-                local_measurements.append(self.measure(q, self.answers[q.attrs][k], rng, scale))
+                noisy = self.noised(self.answers[q.attrs][k], fork(cfg.seed, "localmeasure", self.t, k, l))
+                local_measurements.append(self.release(q, noisy, mass))
                 local_model = self.refit(
                     local_model, self.measurements + local_measurements, float(self.data.n_records)
                 )
-                local_answers = _model_answers(local_model, completed, candidates, cfg.normalize_scores)
         return chosen
 
     def step(self) -> tuple[dict, list[MarginalQuery]] | None:
@@ -347,11 +336,9 @@ class _FlaimLoop(Loop):
         participants = _sample_participants(cfg, self.partition, "sample", self.t)
         if not participants:
             return None
-        rho_used = self.accountant.rho_used
-        limit = (rho_used / self.rho) * cfg.max_model_size
+        limit = self.size_limit()
         pool = [i for i, q in enumerate(completed.queries) if not (self.private and len(q) == 1)]
-        candidates = filter_by_size(completed, model, rho_used, self.rho, cfg.max_model_size, pool)
-        model_answers = _model_answers(model, completed, candidates, cfg.normalize_scores)
+        candidates = filter_by_size(completed, model, limit, pool)
         n_exp, sigma, eps = self.exp_per_round, self.schedule.sigma, self.schedule.eps
         self.accountant.charge(n_exp * exponential_cost(eps), "exponential_select", self.t, eps=eps, count=n_exp)
         self.accountant.charge(
@@ -362,7 +349,7 @@ class _FlaimLoop(Loop):
         # every participant's first local scores in one pass over its rows
         skew = self.candidate_skew(participants, candidates)
         scores = _local_utilities(
-            lambda attrs: self.answers[attrs][participants], model_answers, completed, candidates, sigma,
+            lambda attrs: self.answers[attrs][participants], model, completed, candidates, sigma,
             self.sizes[participants] if cfg.normalize_scores else None, skew,
         )
         if skew is None:
@@ -372,7 +359,7 @@ class _FlaimLoop(Loop):
         selected: dict[tuple[int, ...], list[int]] = {}
         for row, k in enumerate(participants):
             skew_row = None if skew is None else skew[row]
-            for q in self.local_selections(k, candidates, model_answers, scores[row], skew_row, rho_used):
+            for q in self.local_selections(k, candidates, scores[row], skew_row, limit):
                 selected.setdefault(q.attrs, []).append(k)
 
         # server-side admission: each selection fit the size cap on its own,

@@ -6,7 +6,8 @@ There is no cryptographic transport: the contract is bit-exact aggregation
 plus a byte ledger, which is everything the protocol simulations consume.
 The protocols add encoded answers directly (what a client's shares sum to)
 and charge every share's bytes; :func:`share` is the reference for that.
-Noise is applied once by the server role after aggregation.
+Aggregation here is exact: the protocol loop adds its one central noise
+draw to the sum (``central.Loop.noised``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import io
 from typing import Sequence
 
 import numpy as np
-
-from .privacy import gaussian_mechanism
 
 SHARE_BYTES = 8
 DEFAULT_PARTIES = 3
@@ -181,18 +180,16 @@ class ShareAccumulator:
 
 def secagg_round(
     contributions: list[np.ndarray] | np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
     ledger: CommsLedger | None = None,
     clients: Sequence[int] | None = None,
     round_index: int = 0,
     protocol: str = "secagg",
 ) -> np.ndarray:
-    """Exact sum of client vectors plus one central N(0, sigma^2) per cell.
+    """Exact sum of client vectors, as the server reconstructs it.
 
     ``contributions`` is a list of vectors or a (contributors x cells)
-    matrix.  Noise is added once per aggregate, not per client; each client
-    is charged the bytes of its own vector, in one ledger block.
+    matrix.  Each client is charged the bytes of its own vector, in one
+    ledger block.  The sum carries no noise; the caller noises it once.
     """
     if len(contributions) == 0:
         raise ValueError("no contributions")
@@ -205,6 +202,4 @@ def secagg_round(
         if len(ids) != len(stacked):
             raise ValueError("need one client id per contribution")
         ledger.charge_block(ids, round_index, (stacked.shape[1] * SHARE_BYTES,), 0, protocol)
-    if sigma > 0:
-        total = gaussian_mechanism(total, sigma, rng)
     return total

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsynth.central import FIT_TOLERANCE, AimConfig, ROOT_2_OVER_PI, _aim_utilities, filter_by_size, run_aim
-from fedsynth.domain import Domain, MarginalQuery, evaluate_marginal, normalized_counts
+from fedsynth.domain import Domain, MarginalQuery, evaluate_marginal
 from fedsynth.federated import FedConfig, run_distaim, run_flaim
 from fedsynth.model import ModelState
 from fedsynth.partition import ClientPartition, synthfs
@@ -86,7 +86,7 @@ def test_noiseless_hook_selects_exhaustive_argmax(small_problem):
     eps = math.sqrt(8 * 0.1 * rho / T)
     expected = []
     for t in range(1, T + 1):
-        candidates = filter_by_size(completed, model, rho_used, rho, cfg.max_model_size)
+        candidates = filter_by_size(completed, model, (rho_used / rho) * cfg.max_model_size)
         scores = [
             completed.weights[i]
             * (
@@ -107,29 +107,38 @@ def test_noiseless_hook_selects_exhaustive_argmax(small_problem):
     assert logged == expected
 
 
+class _FixedModel:
+    """Stands in for a ModelState: fixed answers by query attributes."""
+
+    def __init__(self, answers: dict[tuple[int, ...], np.ndarray]):
+        self.answers = answers
+
+    def marginal_counts(self, query: MarginalQuery) -> np.ndarray:
+        return self.answers[query.attrs]
+
+
 def test_aim_utilities_hand_values():
     dom = Domain.make(["a", "b"], [2, 3])
     workload = Workload((MarginalQuery.make(dom, (0,)), MarginalQuery.make(dom, (0, 1))), (2.0, 0.5))
     answers = {(0,): np.array([6.0, 2.0]), (0, 1): np.array([1.0, 0.0, 2.0, 0.0, 3.0, 2.0])}
-    raw = {0: np.array([4.0, 4.0]), 1: np.array([2.0, 2.0, 0.0, 0.0, 2.0, 2.0])}
-    per_record = {i: normalized_counts(a) for i, a in raw.items()}
+    model = _FixedModel({(0,): np.array([4.0, 4.0]), (0, 1): np.array([2.0, 2.0, 0.0, 0.0, 2.0, 2.0])})
     sigma = 0.5 / ROOT_2_OVER_PI  # noise terms 1 and 3 for the 2- and 6-cell queries
     skew = np.array([2.0, 0.5])  # per candidate, in candidate order: queries 1 and 0
 
-    def scores(model_answers, **kwargs):
-        return _aim_utilities(answers.__getitem__, model_answers, workload, [1, 0], sigma, **kwargs)
+    def scores(**kwargs):
+        return _aim_utilities(answers.__getitem__, model, workload, [1, 0], sigma, **kwargs)
 
     # raw counts: L1 gaps 6 and 4
-    np.testing.assert_allclose(scores(raw), [0.5 * (6 - 3), 2.0 * (4 - 1)])
+    np.testing.assert_allclose(scores(), [0.5 * (6 - 3), 2.0 * (4 - 1)])
     # the skew penalty is weighted by w_q like the rest of the score
-    np.testing.assert_allclose(scores(raw, skew=skew), [0.5 * (6 - 3 - 2), 2.0 * (4 - 1 - 0.5)])
-    # per record: gaps 0.75 and 0.5, noise terms divided by the mass
-    np.testing.assert_allclose(scores(per_record, mass=4), [0.5 * (0.75 - 3 / 4), 2.0 * (0.5 - 1 / 4)], atol=1e-12)
+    np.testing.assert_allclose(scores(skew=skew), [0.5 * (6 - 3 - 2), 2.0 * (4 - 1 - 0.5)])
+    # per record (both sides normalized): gaps 0.75 and 0.5, noise terms divided by the mass
+    np.testing.assert_allclose(scores(mass=4), [0.5 * (0.75 - 3 / 4), 2.0 * (0.5 - 1 / 4)], atol=1e-12)
     np.testing.assert_allclose(
-        scores(per_record, mass=4, skew=skew), [0.5 * (0.75 - 3 / 4 - 2), 2.0 * (0.5 - 1 / 4 - 0.5)]
+        scores(mass=4, skew=skew), [0.5 * (0.75 - 3 / 4 - 2), 2.0 * (0.5 - 1 / 4 - 0.5)]
     )
     # no mass at all counts as one record
-    np.testing.assert_allclose(scores(per_record, mass=0), [0.5 * (0.75 - 3), 2.0 * (0.5 - 1)])
+    np.testing.assert_allclose(scores(mass=0), [0.5 * (0.75 - 3), 2.0 * (0.5 - 1)])
 
 
 @pytest.mark.parametrize("with_skew", [True, False])
@@ -144,9 +153,7 @@ def test_aim_utilities_rows_match_one_row_at_a_time(normalize, with_skew):
         rows[3] = 0  # an empty client
     sizes = block[(0,)].sum(axis=1)
     candidates = [4, 0, 2, 3]
-    model = {i: rng.random(queries[i].cardinality) * 10 for i in candidates}
-    if normalize:
-        model = {i: normalized_counts(a) for i, a in model.items()}
+    model = _FixedModel({queries[i].attrs: rng.random(queries[i].cardinality) * 10 for i in candidates})
     skew = rng.random((5, len(candidates))) if with_skew else None
     sigma = 1.3
     scores = _aim_utilities(block.__getitem__, model, workload, candidates, sigma,
@@ -220,7 +227,7 @@ def test_filter_admits_all_when_cap_huge(small_problem):
     dom = data.domain
     completed = complete_workload(dom, workload)
     model = ModelState.uniform(dom, 1.0)
-    admitted = filter_by_size(completed, model, rho_used=0.5, rho_total=1.0, max_model_size=1 << 40)
+    admitted = filter_by_size(completed, model, limit=0.5 * (1 << 40))
     assert admitted == list(range(len(completed)))
 
 
@@ -229,7 +236,7 @@ def test_filter_fallback_single_smallest(small_problem):
     dom = data.domain
     completed = complete_workload(dom, workload)
     model = ModelState.uniform(dom, 1.0)
-    admitted = filter_by_size(completed, model, rho_used=0.0, rho_total=1.0, max_model_size=1 << 40)
+    admitted = filter_by_size(completed, model, limit=0.0)
     assert len(admitted) == 1
     sizes = [model.size_bytes(q) for q in completed.queries]
     assert sizes[admitted[0]] == min(sizes)
@@ -240,6 +247,7 @@ def test_filter_monotone_in_rho_used(small_problem):
     dom = data.domain
     completed = complete_workload(dom, workload)
     model = ModelState.uniform(dom, 1.0)
-    small = set(filter_by_size(completed, model, 0.05, 1.0, 4000))
-    large = set(filter_by_size(completed, model, 0.6, 1.0, 4000))
+    # the limit is the spent share of the budget times the cap
+    small = set(filter_by_size(completed, model, 0.05 * 4000))
+    large = set(filter_by_size(completed, model, 0.6 * 4000))
     assert small <= large

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ def test_prepare_and_partition_pipeline(tmp_path):
                  "--clients", "4", "--beta", "0.5", "--class-attr", "cls",
                  "--out", part_out, "--seed", "5", "--force"]) == 0
     np.testing.assert_array_equal(load_partition(part_out), assignments)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"name": "cls", "kind": "categorical", "bogus": 1}, r"'cls': unknown keys \['bogus'\], missing keys \[\]"),
+    ({"name": "cls"}, r"'cls': unknown keys \[\], missing keys \['kind'\]"),
+    ({"kind": "categorical"}, r"1: unknown keys \[\], missing keys \['name'\]"),
+    ("cls", r"schema field 1: expected an object, got 'cls'"),
+], ids=["unknown_key", "no_kind", "no_name", "not_an_object"])
+def test_prepare_schema_field_with_bad_keys_exit_one(tmp_path, capsys, entry, message):
+    csv = tmp_path / "d.csv"
+    csv.write_text("age,cls\n1,0\n2,1\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"fields": [
+        {"name": "age", "kind": "continuous", "min": 0, "max": 30, "bins": 10}, entry,
+    ]}))
+    out = str(tmp_path / "d.npz")
+    assert main(["prepare", "--data", str(csv), "--schema", str(schema), "--out", out]) == 1
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("kind", ["iid", "label_skew", "cluster"])

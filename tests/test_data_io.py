@@ -33,6 +33,15 @@ def test_bin_boundaries():
     assert report.total_clamped() == 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_continuous_values_are_refused(bad):
+    # a non-finite value has no bin: it must not be encoded silently (nan
+    # landed in bin 0 unreported)
+    schema = Schema([cont_field(bins=4, lo=0.0, hi=4.0, name="age")])
+    with pytest.raises(ValueError, match=r"'age' has 2 non-finite"):
+        discretize([[1.0, bad, 2.5, bad]], schema)
+
+
 def test_out_of_range_clamped_and_counted():
     schema = Schema([cont_field(bins=4, lo=0.0, hi=4.0)])
     data, report = discretize([[-1.0, 5.0, 2.5]], schema)

@@ -5,10 +5,15 @@ attribute) anywhere outside its own definition and ``__init__.py``.  Names
 are matched as strings, so a same-named local or attribute also counts.  Dunder
 methods are called by Python itself and are not checked.  A name kept for a
 user outside the package is listed in ``KEPT`` with that user.
+
+Every name a module imports is used in that module, except in
+``__init__.py``, whose imports are the package's public API.  An import
+kept for a user elsewhere is marked ``# noqa: F401`` followed by why.
 """
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import fedsynth
@@ -68,3 +73,37 @@ def test_every_package_name_has_a_user():
     assert not dead, f"defined but never used in the package: {dead}"
     stale = sorted(set(KEPT) - set(unused.values()))
     assert not stale, f"kept names that are used in the package or gone: {stale}"
+
+
+_NOQA = re.compile(r"#\s*noqa:\s*F401\b(.*)$")
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """``module:line name`` of every import of ``path`` never used there."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = _references(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        marked = _NOQA.search(lines[node.end_lineno - 1])
+        if marked:
+            assert marked.group(1).strip(" ()-:"), f"{path.name}:{node.lineno}: a noqa: F401 must say why"
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if not used[bound]:
+                unused.append(f"{path.stem}:{node.lineno} {bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    unused = [
+        name for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    ]
+    assert not unused, f"imported but never used: {unused}"

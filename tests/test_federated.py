@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedsynth import central, federated
 from fedsynth.central import AimConfig, run_aim
 from fedsynth.domain import (
     DiscreteDataset,
@@ -254,6 +255,106 @@ def test_flaim_oracle_skips_queries_only_empty_clients_chose(rounds):
     assert res.model.meta["n_measurements"] == measured
     # the round's charge is kept: the budget is still spent exactly
     assert res.accountant.rho_used == pytest.approx(res.accountant.rho_total, rel=1e-9)
+
+
+# --- the release rule -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def empty_client_problem():
+    """A label-skew split with more clients than it fills, so some hold no rows."""
+    data = synthfs(n_clients=20, rows_per_client=50, seed=0, n_features=4, beta=1.0, bins=5).data
+    partition = partition_label_skew(data, 40, 3, beta=0.3, seed=0)
+    assert np.any(partition.sizes() == 0)
+    return data, partition, random_workload(data.domain, 2, 5, seed=0)
+
+
+def _released(monkeypatch, run, *args) -> list:
+    """Every measurement ``run`` released: those its final fit reads."""
+    final, real_fit = [], central.fit
+
+    def spy(measurements, *fit_args, **fit_kwargs):
+        final[:] = measurements
+        return real_fit(measurements, *fit_args, **fit_kwargs)
+
+    monkeypatch.setattr(central, "fit", spy)
+    run(*args)
+    return final
+
+
+def _pooled_answer(data, partition, clients, query) -> np.ndarray:
+    """Exact answer to ``query`` over the rows ``clients`` hold."""
+    rows = np.nonzero(np.isin(partition.assignments, list(clients)))[0]
+    return evaluate_marginal(data.subset(rows), query)
+
+
+def _expected_release(data, pooled, mass, normalize) -> np.ndarray:
+    return pooled * (data.n_records / max(mass, 1)) if normalize else pooled
+
+
+def test_aim_releases_exact_answers_at_unit_weight(monkeypatch, empty_client_problem):
+    data, _, workload = empty_client_problem
+    cfg = AimConfig(epsilon=1.0, rounds=3, seed=4, max_model_size=1 << 16, noiseless=True)
+    released = _released(monkeypatch, run_aim, data, workload, cfg)
+    assert len(released) == len(data.domain) + 3
+    for m in released:
+        np.testing.assert_array_equal(m.noisy_counts, evaluate_marginal(data, m.query))
+        assert m.weight * m.sigma == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_distaim_releases_the_pooled_sum_rescaled_by_pooled_mass(
+    monkeypatch, empty_client_problem, normalize
+):
+    data, partition, workload = empty_client_problem
+    cfg = FedConfig(epsilon=1.0, rounds=3, sample_rate=0.1, seed=4, max_model_size=1 << 16,
+                    normalize_scores=normalize, noiseless=True)
+    log = []
+    real_run = federated.run_distaim
+
+    def run(*args):
+        log.extend(real_run(*args).rounds)
+
+    released = _released(monkeypatch, run, data, partition, workload, cfg)
+    assert released
+    sizes = partition.sizes()
+    for m in released:
+        pooled_clients = {k for e in log if e["t"] <= m.round for k in e.get("participants", [])}
+        mass = int(sizes[list(pooled_clients)].sum())
+        pooled = _pooled_answer(data, partition, pooled_clients, m.query)
+        np.testing.assert_allclose(m.noisy_counts, _expected_release(data, pooled, mass, normalize), rtol=1e-12)
+        assert m.weight * m.sigma == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("variant", ["naive", "oracle", "private"])
+def test_flaim_releases_the_contributors_sum_rescaled_by_their_mass(
+    monkeypatch, empty_client_problem, variant, normalize
+):
+    data, partition, workload = empty_client_problem
+    cfg = FedConfig(epsilon=1.0, rounds=3, sample_rate=0.1, seed=4, max_model_size=1 << 16,
+                    variant=variant, normalize_scores=normalize, noiseless=True)
+    contributors, real_secagg = [], federated.secagg_round
+
+    def secagg_spy(contributions, *args, clients=None, **kwargs):
+        contributors.append(list(clients))
+        return real_secagg(contributions, *args, clients=clients, **kwargs)
+
+    monkeypatch.setattr(federated, "secagg_round", secagg_spy)
+    released = _released(monkeypatch, run_flaim, data, partition, workload, cfg)
+    # one local round: every measurement is one secure aggregation, in order
+    assert released and len(released) == len(contributors)
+    sizes = partition.sizes()
+    if variant == "private":  # covers the floor of its mass self-estimate: a sum over empty clients only
+        assert any(sizes[clients].sum() == 0 for clients in contributors)
+    for m, clients in zip(released, contributors):
+        mass = int(sizes[clients].sum())
+        pooled = _pooled_answer(data, partition, clients, m.query)
+        np.testing.assert_allclose(m.noisy_counts, _expected_release(data, pooled, mass, normalize), rtol=1e-12)
+        # private self-estimates the mass from the sum, floored at 1; oracle
+        # never measures a contribution with no rows
+        expected_weight = 1.0 if variant == "naive" else max(mass, 1)
+        assert m.weight * m.sigma == pytest.approx(expected_weight, rel=1e-12)
 
 
 @pytest.mark.parametrize("variant,factor", [("naive", 1.0), ("oracle", 2.0), ("private", 2.0)])

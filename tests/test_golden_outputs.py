@@ -3,9 +3,11 @@
 Each case runs ``harness.execute_run`` on one small label-skew split that
 leaves some clients empty, and hashes what ``harness.write_results`` would
 write for it: the results.csv row, the round log, the accounting ledger and
-the comms CSV.  A change meant to keep outputs byte-identical (a refactor or
-a speed-up) must leave every digest as it is; a change meant to move
-results updates them and says why.
+the comms CSV.  Cases run three fixed rounds or, in ``ANNEALING_DIGESTS``,
+budget annealing, where every method anneals and ends on a final round.  A
+change meant to keep outputs byte-identical (a refactor or a speed-up) must
+leave every digest as it is; a change meant to move results updates them
+and says why.
 """
 
 import hashlib
@@ -51,23 +53,61 @@ DIGESTS = {
     },
 }
 
+# the same cases under budget annealing (``rounds`` None)
+ANNEALING_DIGESTS = {
+    "aim": {
+        1: {True: "291a74fa96874647cc765b8f5fa0d98ba7200ad26f70c7c5433c160ff445a50c",
+            False: "6798dc172decadad83191a6f58206960341e06febce1bb2cfd2438de24ed1469"},
+        2: {True: "5d92504fbaa4dc4f86201c43f6b9cdf343fd8b7a5e3e3155fe785fe1a6fb15db",
+            False: "18b8b62b194a9c5dbd71ca35406d8e2f1fb70a2f34a56c6dc99dc0fc187611ef"},
+    },
+    "distaim": {
+        1: {True: "042262b235648f3e2e39dcedeb4fc1bc3d760984fc0ea5a106e3ddc7c55d07c9",
+            False: "7275a16dd0e855ae95355a24582958234fb551ca267724da1b6c878ef4bec092"},
+        2: {True: "7333804ca8fb9fb4ee990ffd75585301478b0e53407ee9f0fb48049cc18929fd",
+            False: "fcc3d609d0ad6c367a313bbe270d13f9f01b91b5bded90084a764f689f573ea4"},
+    },
+    "flaim-naive": {
+        1: {True: "55a3c75dbc8a9c8bc98bbc91496661af0659bf26d07a5e81b5f77f4dc4d29319",
+            False: "1fcc20785aac35fcd26a72636edac1615c59df5c70bf7bb70cadebf67f9b0e72"},
+        2: {True: "c9650baa837ad50d4461f0bcba89077c8109055581afe5ab84fa4cf676188fd7",
+            False: "a9a067cda93663ec014f9739941a3262861ba504a11e6a0a803f691eccd9c4e1"},
+    },
+    "flaim-oracle": {
+        1: {True: "2539b83e4db7df800284c5c4c11a56b4751148c57a22d2e0e041e6b51caeeeaf",
+            False: "a44cb1d6f0a798ecbcdb47ac59b54956df60d61106f4fc933a4917dad3a8066d"},
+        2: {True: "abd6b006f6cc65c5af58a4f3090bc92774a1f6c04875bb104578c5c2083080a5",
+            False: "5ec73b8cffb7f5556897109acd01faff6e6f03846f24478c089adc9d572d58f1"},
+    },
+    "flaim-private": {
+        1: {True: "be9ac23c268c336b4f7019d75e6b497cce8fe5667899c50f6b1d31c8b312a51b",
+            False: "3ee30ed233cc7085dd9f2347cbc41ecf399e4f1007fbfa16e8513f290688a7b1"},
+        2: {True: "fe2b2297002d87b22b43db34a794583875448f24ac6d0bf4b4dc74d3a94db31a",
+            False: "33c10a2a83decfd0f75164ee8d507706de467a48c40d47d45e0400ac63904445"},
+    },
+}
 
-def _config(method: str, local_rounds: int, normalize: bool) -> ExperimentConfig:
+
+def _config(method: str, local_rounds: int, normalize: bool, rounds: int | None = 3) -> ExperimentConfig:
     return ExperimentConfig.from_dict({
         "dataset": {"kind": "synthfs", "clients": 20, "rows_per_client": 50,
                     "features": 4, "bins": 5, "seed": 1},
         "partition": {"kind": "label_skew", "clients": 40, "beta": 0.3, "class_attr": "f3", "seed": 2},
         "workload": {"arity": 2, "count": 5, "seed": 3},
-        "protocol": {"method": method, "epsilon": 1.0, "rounds": 3, "sample_rate": 0.2,
+        "protocol": {"method": method, "epsilon": 1.0, "rounds": rounds, "sample_rate": 0.2,
                      "local_rounds": local_rounds, "normalize_scores": normalize,
                      "fit_iters": 30, "final_fit_iters": 60},
     })
 
 
-def _digest(config: ExperimentConfig) -> str:
-    """sha256 over the run's outputs, serialized as ``write_results`` writes them."""
+def _run(config: ExperimentConfig):
     result = execute_run(config, SEED)
     assert result.status == "ok", result.traceback
+    return result
+
+
+def _digest(result) -> str:
+    """sha256 over the run's outputs, serialized as ``write_results`` writes them."""
     h = hashlib.sha256()
     h.update(results_to_csv([result]).encode())
     h.update("\n".join(json.dumps(e, sort_keys=True) for e in result.round_log).encode())
@@ -80,4 +120,15 @@ def _digest(config: ExperimentConfig) -> str:
 @pytest.mark.parametrize("local_rounds", [1, 2])
 @pytest.mark.parametrize("method", METHODS)
 def test_outputs_match_pinned_digest(method, local_rounds, normalize):
-    assert _digest(_config(method, local_rounds, normalize)) == DIGESTS[method][local_rounds][normalize]
+    assert _digest(_run(_config(method, local_rounds, normalize))) == DIGESTS[method][local_rounds][normalize]
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("local_rounds", [1, 2])
+@pytest.mark.parametrize("method", METHODS)
+def test_annealing_outputs_match_pinned_digest(method, local_rounds, normalize):
+    result = _run(_config(method, local_rounds, normalize, rounds=None))
+    rounds = [e for e in result.round_log if e.get("phase", "round") == "round"]
+    assert any(e.get("annealed") for e in rounds), "the case must exercise the annealing check"
+    assert rounds[-1]["final"], "the case must end on the final-round adjustment"
+    assert _digest(result) == ANNEALING_DIGESTS[method][local_rounds][normalize]

@@ -101,6 +101,16 @@ def test_gaussian_sensitivity_scales_noise():
     assert np.abs(noise).mean() == pytest.approx(3.0 * math.sqrt(2 / math.pi), rel=0.03)
 
 
+def test_gaussian_noise_std_and_independence():
+    # each row is one draw over two cells: every cell has std sigma, and cells are uncorrelated
+    reps, cells, sigma = 100_000, 2, 3.0
+    draws = gaussian_mechanism(np.zeros((reps, cells)), sigma, fork(9, "mc"))
+    stds = draws.std(axis=0)
+    assert np.all(np.abs(stds - sigma) < 0.02 * sigma)
+    corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
+    assert abs(corr) < 0.01
+
+
 def test_gaussian_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
         gaussian_mechanism(np.zeros(2), 0.0, fork(0))

@@ -113,26 +113,14 @@ def test_accumulator_running_sum():
 
 def test_secagg_round_exact_when_noiseless():
     vectors = [np.array([1.0, 2.0]), np.array([10.0, 20.0])]
-    total = secagg_round(vectors, 0.0, fork(8))
+    total = secagg_round(vectors)
     np.testing.assert_array_equal(total, [11.0, 22.0])
-
-
-def test_secagg_round_noise_std_and_independence():
-    reps, cells, sigma = 100_000, 2, 3.0
-    rng = fork(9, "mc")
-    draws = np.array([
-        secagg_round([np.zeros(cells)], sigma, rng) for _ in range(reps)
-    ])
-    stds = draws.std(axis=0)
-    assert np.all(np.abs(stds - sigma) < 0.02 * sigma)
-    corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
-    assert abs(corr) < 0.01
 
 
 def test_secagg_round_ledger_charges_each_client():
     ledger = CommsLedger()
     secagg_round(
-        [np.zeros(32), np.zeros(32)], 1.0, fork(10), ledger=ledger, clients=[3, 8], round_index=4
+        [np.zeros(32), np.zeros(32)], ledger=ledger, clients=[3, 8], round_index=4
     )
     totals = ledger.client_totals()
     assert totals == {3: 32 * 8, 8: 32 * 8}
@@ -179,15 +167,15 @@ def test_secagg_round_takes_a_list_or_a_matrix():
     matrix = fork(13).integers(0, 50, size=(4, 6)).astype(np.int32)
     clients = [2, 5, 7, 11]
     by_list, by_matrix, reference = CommsLedger(), CommsLedger(), CommsLedger()
-    a = secagg_round(list(matrix), 1.5, fork(14, "agg"), by_list, clients=clients, round_index=3, protocol="f")
-    b = secagg_round(matrix, 1.5, fork(14, "agg"), by_matrix, clients=clients, round_index=3, protocol="f")
+    a = secagg_round(list(matrix), by_list, clients=clients, round_index=3, protocol="f")
+    b = secagg_round(matrix, by_matrix, clients=clients, round_index=3, protocol="f")
     assert a.tobytes() == b.tobytes()
-    np.testing.assert_array_equal(secagg_round(matrix, 0.0, fork(15)), matrix.sum(axis=0))
+    np.testing.assert_array_equal(a, matrix.sum(axis=0))
     for k in clients:
         reference.charge(k, 3, bytes_sent=6 * 8, protocol="f")
     assert by_list.to_csv() == by_matrix.to_csv() == reference.to_csv()
     for empty in ([], matrix[:0]):
         with pytest.raises(ValueError, match="no contributions"):
-            secagg_round(empty, 0.0, fork(15))
+            secagg_round(empty)
     with pytest.raises(ValueError, match="one client id"):
-        secagg_round(matrix, 0.0, fork(15), CommsLedger(), clients=[1, 2])
+        secagg_round(matrix, CommsLedger(), clients=[1, 2])
