@@ -15,7 +15,9 @@ factors so the model always covers the whole domain.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,8 +45,13 @@ class Measurement:
         counts = np.asarray(self.noisy_counts, dtype=np.float64)
         if counts.shape != (self.query.cardinality,):
             raise ValueError("noisy counts length must equal query cardinality")
-        if self.weight <= 0:
-            raise ValueError("measurement weight must be positive")
+        if not np.isfinite(counts).all():
+            raise ValueError("noisy counts must be finite")
+        if not np.isfinite(self.sigma):
+            raise ValueError("measurement sigma must be finite")
+        # written so that a NaN weight fails too
+        if not 0 < self.weight < np.inf:
+            raise ValueError("measurement weight must be positive and finite")
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "noisy_counts", counts)
@@ -98,79 +105,125 @@ def component_bytes(domain: Domain, components: Sequence[tuple[int, ...]]) -> in
     return sum(domain.size(c) * CELL_BYTES for c in components)
 
 
-def _softmax_mass(theta: np.ndarray, total: float) -> np.ndarray:
-    """Mass-``total`` softmax of ``theta``; shifts ``theta`` in place so its
-    maximum is zero."""
+def _softmax_mass(theta: np.ndarray, total: float, out: np.ndarray) -> None:
+    """Write the mass-``total`` softmax of ``theta`` into ``out``; shifts
+    ``theta`` in place so its maximum is zero."""
     theta -= theta.max()
-    p = np.exp(theta)
-    p *= total / p.sum()
-    return p
+    np.exp(theta, out=out)
+    out *= total / out.sum()
 
 
 class _FitPlan:
     """How one component fit reduces marginals and assembles gradients.
 
-    Measurements are ordered largest first.  Each takes as parent its
-    smallest measured strict superset in the component; a measurement
-    without one is a root and is reduced from, and broadcast back into, the
-    full table.  Every other marginal is summed from its parent's marginal,
-    and gradient residuals travel the same edges upwards, so the full table
-    is touched once per root.
+    The plan's nodes are the measured sets (repeats merged) plus
+    *intermediates*.  In a component of k attributes, a root is a measured
+    set with no measured strict superset.  While some root of arity k-2 or
+    less is not inside an intermediate, the unmeasured (k-1)-way marginal
+    that covers the most such roots becomes one (ties go to the first in
+    ``itertools.combinations`` order).  Nodes are ordered largest first and
+    each takes as parent its smallest earlier strict superset.  A node
+    without one is top-level: it is reduced from, and broadcast back into,
+    the full table.  Every other marginal is summed from its parent's, and
+    gradient residuals travel the same edges upwards, so the full table is
+    touched once per top-level node, not once per root.
+
+    Every node's marginal is a view into one flat vector laid out as
+    intermediates, then measured top-level nodes, then the other measured
+    nodes.  So the measured cells are one slice, against which ``y`` and the
+    per-cell weights ``alpha`` line up, and the top-level cells are another.
+    The objective is one subtraction, one multiplication and one dot product
+    over that slice, and the fit's line search reuses buffers it allocates
+    once per fit.
     """
 
     def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], measurements: list[Measurement]):
+        k = len(comp)
         comp_pos = {a: i for i, a in enumerate(comp)}
-        merged = sorted(
-            _merge_same_query(measurements),
-            key=lambda m: (-len(m.query.attrs), -m.query.cardinality, m.query.attrs),
-        )
-        full = list(range(len(comp)))
-        self.shape = shape
-        self.alphas = [m.weight for m in merged]
+        measured = {tuple(comp_pos[a] for a in m.query.attrs): m for m in _merge_same_query(measurements)}
+        roots = [s for s in measured if not any(set(s) < set(t) for t in measured)]
+        uncovered = [set(r) for r in roots if len(r) <= k - 2]
+        intermediates: list[tuple[int, ...]] = []
+        while uncovered:
+            best = max(
+                (c for c in combinations(range(k), k - 1) if c not in measured),
+                key=lambda c: sum(r <= set(c) for r in uncovered),
+            )
+            intermediates.append(best)
+            uncovered = [r for r in uncovered if not r <= set(best)]
+
+        def cells(axes: tuple[int, ...]) -> int:
+            return math.prod(shape[a] for a in axes)
+
+        nodes = sorted(list(measured) + intermediates, key=lambda s: (-len(s), -cells(s), s))
+        full = list(range(k))
         self.parents: list[int | None] = []
         # einsum sublists (source axes, kept axes) of each reduction
-        self.reductions: list[tuple[list[int], list[int]] | None] = []
+        self.reductions: list[tuple[list[int], list[int]]] = []
         # shape of a residual broadcast into its parent's (or the full) axes
         self.up_shapes: list[tuple[int, ...]] = []
-        self.ys: list[np.ndarray] = []
-        self.axes: list[list[int]] = []  # local axes each measurement keeps
-        for i, m in enumerate(merged):
-            keep = [comp_pos[a] for a in m.query.attrs]
-            supersets = [j for j in range(i) if set(keep) < set(self.axes[j])]
-            parent = min(supersets, key=lambda j: merged[j].query.cardinality) if supersets else None
-            source = full if parent is None else self.axes[parent]
+        self.node_shapes = [tuple(shape[a] for a in keep) for keep in nodes]
+        for i, keep in enumerate(nodes):
+            supersets = [j for j in range(i) if set(keep) < set(nodes[j])]
+            parent = min(supersets, key=lambda j: cells(nodes[j])) if supersets else None
+            source = full if parent is None else list(nodes[parent])
             self.parents.append(parent)
-            self.reductions.append(None if keep == source else (source, keep))
+            self.reductions.append((source, list(keep)))
             self.up_shapes.append(tuple(shape[a] if a in keep else 1 for a in source))
-            self.ys.append(m.noisy_counts.reshape(tuple(shape[a] for a in keep)))
-            self.axes.append(keep)
-        self.roots = [i for i, parent in enumerate(self.parents) if parent is None]
+        self.tops = [i for i, parent in enumerate(self.parents) if parent is None]
+        self.intermediates = [i for i, keep in enumerate(nodes) if keep not in measured]
+        # step size scale: the merged weights summed in plan order
+        self.alpha_total = sum(measured[keep].weight for keep in nodes if keep in measured)
 
-    def marginals(self, p: np.ndarray) -> list[np.ndarray]:
-        """Every measured marginal of the full table ``p``, in plan order."""
-        out: list[np.ndarray] = []
-        for parent, reduction in zip(self.parents, self.reductions):
-            source = p if parent is None else out[parent]
-            out.append(source if reduction is None else np.einsum(source, *reduction))
-        return out
+        # flat layout: intermediates, measured top-level nodes, other measured nodes
+        layout = sorted(range(len(nodes)), key=lambda i: (nodes[i] in measured, self.parents[i] is not None))
+        sizes = [cells(keep) for keep in nodes]
+        self.offsets = [0] * len(nodes)
+        offset = 0
+        for i in layout:
+            self.offsets[i] = offset
+            offset += sizes[i]
+        self.size = offset
+        self.top_cells = slice(0, sum(sizes[i] for i in self.tops))
+        self.measured_cells = slice(sum(sizes[i] for i in self.intermediates), self.size)
+        ordered = [measured[nodes[i]] for i in layout if nodes[i] in measured]
+        self.y = np.concatenate([m.noisy_counts for m in ordered])
+        self.alpha = np.concatenate([np.full(m.query.cardinality, m.weight) for m in ordered])
 
-    def gradient(self, residuals: list[np.ndarray]) -> np.ndarray:
-        """Sum of the residuals broadcast over the full table.
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each node's cells in the flat vector ``flat``, shaped, in plan order."""
+        return [
+            flat[offset:offset + math.prod(node_shape)].reshape(node_shape)
+            for offset, node_shape in zip(self.offsets, self.node_shapes)
+        ]
 
-        Adds each non-root residual into its parent's in place, smallest
-        first, so afterwards ``residuals[r]`` of a root ``r`` holds the
-        pushed-up sum of its subtree.
+    def marginals(self, p: np.ndarray, views: list[np.ndarray]) -> None:
+        """Write every node's marginal of the full table ``p`` into ``views``."""
+        for i, (parent, reduction) in enumerate(zip(self.parents, self.reductions)):
+            np.einsum(p if parent is None else views[parent], *reduction, out=views[i])
+
+    def gradient(self, residuals: list[np.ndarray], grad: np.ndarray) -> None:
+        """Write the sum of the measured residuals, broadcast over the full
+        table, into ``grad``.
+
+        Zeroes the intermediates' residuals and then adds each non-top
+        residual into its parent's in place, smallest first, so afterwards
+        the residual of a top-level node holds the pushed-up sum of its
+        subtree.
         """
+        for i in self.intermediates:
+            residuals[i].fill(0.0)
         for i in reversed(range(len(residuals))):
             parent = self.parents[i]
             if parent is not None:
                 residuals[parent] += residuals[i].reshape(self.up_shapes[i])
-        first, *rest = self.roots
-        grad = np.empty(self.shape)
-        np.copyto(grad, residuals[first].reshape(self.up_shapes[first]))
-        for r in rest:
-            grad += residuals[r].reshape(self.up_shapes[r])
-        return grad
+        up = [residuals[r].reshape(self.up_shapes[r]) for r in self.tops]
+        if len(up) == 1:
+            np.copyto(grad, up[0])
+            return
+        np.add(up[0], up[1], out=grad)
+        for r in up[2:]:
+            grad += r
 
 
 def _merge_same_query(measurements: list[Measurement]) -> list[Measurement]:
@@ -208,32 +261,42 @@ def _fit_component(
 ) -> tuple[np.ndarray, list[float]]:
     plan = _FitPlan(comp, shape, measurements)
     theta = np.zeros(shape) if init_logits is None else init_logits.astype(np.float64)
-    p = _softmax_mass(theta, total)
+    theta_new, p, p_new, grad = (np.empty(shape) for _ in range(4))
+    # node marginals of the accepted point and of the trial point
+    flat, flat_new = np.empty(plan.size), np.empty(plan.size)
+    views, views_new = plan.views(flat), plan.views(flat_new)
+    residual = np.empty(plan.size)
+    residual_views = plan.views(residual)
+    diff = np.empty_like(plan.y)
+    weighted = np.empty_like(plan.y)  # alpha * diff of the last point evaluated
+    moved = np.empty(plan.top_cells.stop)
 
-    def objective(margins: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        diffs = [mg - y for mg, y in zip(margins, plan.ys)]
-        return float(sum(a * np.vdot(d, d) for a, d in zip(plan.alphas, diffs))), diffs
+    def objective(marginals: np.ndarray) -> float:
+        np.subtract(marginals[plan.measured_cells], plan.y, out=diff)
+        np.multiply(diff, plan.alpha, out=weighted)
+        return float(np.dot(weighted, diff))
 
-    margins = plan.marginals(p)
-    obj, diffs = objective(margins)
+    _softmax_mass(theta, total, p)
+    plan.marginals(p, views)
+    obj = objective(flat)
     trace = [obj]
-    step = 2.0 / sum(plan.alphas)
+    step = 2.0 / plan.alpha_total
     for _ in range(iterations):
-        residuals = [(2.0 * a) * d for a, d in zip(plan.alphas, diffs)]
-        grad = plan.gradient(residuals)
+        np.multiply(weighted, 2.0, out=residual[plan.measured_cells])
+        plan.gradient(residual_views, grad)
         # backtracking line search with Armijo sufficient decrease; a clean
         # first-try acceptance lets the step regrow next iteration
         accepted = False
         first_try = True
         for _ in range(80):
-            theta_new = theta - step * grad
-            p_new = _softmax_mass(theta_new, total)
-            margins_new = plan.marginals(p_new)
-            obj_new, diffs_new = objective(margins_new)
-            # <grad, p - p_new>, evaluated on the roots' marginals
-            predicted = float(
-                sum(np.vdot(residuals[r], margins[r] - margins_new[r]) for r in plan.roots)
-            )
+            np.multiply(grad, step, out=theta_new)
+            np.subtract(theta, theta_new, out=theta_new)
+            _softmax_mass(theta_new, total, p_new)
+            plan.marginals(p_new, views_new)
+            obj_new = objective(flat_new)
+            # <grad, p - p_new>, evaluated on the top-level marginals
+            np.subtract(flat[plan.top_cells], flat_new[plan.top_cells], out=moved)
+            predicted = float(np.dot(residual[plan.top_cells], moved))
             if obj_new <= obj and obj - obj_new >= 0.5 * predicted:
                 accepted = True
                 break
@@ -244,7 +307,10 @@ def _fit_component(
         if first_try:
             step *= 2.0
         decrease = obj - obj_new
-        theta, p, margins, obj, diffs = theta_new, p_new, margins_new, obj_new, diffs_new
+        # ``weighted`` already holds the accepted point's values
+        theta, theta_new, p, p_new = theta_new, theta, p_new, p
+        flat, flat_new, views, views_new = flat_new, flat, views_new, views
+        obj = obj_new
         trace.append(obj)
         if decrease <= tolerance * max(trace[-2], 1e-300):
             break
@@ -389,6 +455,8 @@ def fit(
                 raise IndexError(f"measurement attribute {a} outside domain")
     if total is None:
         total = estimate_total(measurements) if measurements else 1.0
+    if not np.isfinite(total):
+        raise ValueError("total must be finite")
     total = max(float(total), 1e-9)  # all-negative noisy totals would zero the mass
     comps = _union_find_components(len(domain), [m.query.attrs for m in measurements])
     for comp in comps:

@@ -22,10 +22,10 @@ SEED = 5
 # method -> local_rounds -> normalize_scores -> sha256 of the run's outputs
 DIGESTS = {
     "aim": {
-        1: {True: "092557fdd40a325591088218de667258895570f605978238633e632bc3c82149",
-            False: "11e3e237d7ac04c5518902e39dc846818720c5a6f693815191a8ba2cf4917625"},
-        2: {True: "555b0e9ebc8ad8301ec0cae2748741d77ce01f8ef39dd7857323979ea1435b58",
-            False: "e053cead8c23cf82422f620460e7db4ff2a497b450eb8244368ed32e5a65fe91"},
+        1: {True: "daf2728280dcb9d2a0afacd090d2c9ddf686dfadc4104d14b387bfacd09fe01a",
+            False: "8a74542e9fdc3991cc18dda325a084844136f9147480df73649e35ea2ac4f919"},
+        2: {True: "98d7ced826c29cafb5264ebb4619a64b6ced1c96d1d274b504757193aa8c592d",
+            False: "f386b31561961707505aeb9c151cf5b7f0a747db817146daa5dd26e0800510a0"},
     },
     "distaim": {
         1: {True: "b871c69d3be77b519e46decc7f8f8691b3e31cba6979e375c2446614d4c9025a",
@@ -34,56 +34,56 @@ DIGESTS = {
             False: "52227d43c7f421788592d345fcee2136c4113701c7e9576d5ab858fecfaa565a"},
     },
     "flaim-naive": {
-        1: {True: "070ef29df0ffb13152fe9d0a4a7012ba8e486005396d29d40705107d5c9a0734",
+        1: {True: "6ece178804e192e7a21adf589bdf62f5918674bddd6d6e835d020fa6b198fcde",
             False: "70af6fc5e7d50ce197c31b2326e562cbafe0b2783c08c9d1abe49baa70a3c50a"},
-        2: {True: "c9296f86c7d627ece19d0728e010d666f081f237aef7887c0b96a1ace22b2dac",
-            False: "45f6cf62f251c6f383b7c50602d9ec517be25e470a880b0fb1c2602dcacda68b"},
+        2: {True: "6e8e0bbdec7f838651af51e86470a1e5f31153bc0ccc8b755e3291abec1eddc1",
+            False: "d96b7c0b11ff9bf609474179b256a6529be1c02dd46e8729a62e0814b23c48af"},
     },
     "flaim-oracle": {
-        1: {True: "1ee60bc6721914d3eb4a33f33791942d8054ae65e0dca9f8a9d4c576bd3b13eb",
-            False: "07ef868c7deb3c7e78e3b486aea36d771560018e847d9d315835d6b38c08898f"},
-        2: {True: "54ad8a91224ff084bc2dcb850bbbd35b8ede22e8fc661ed872461125c0fc1c16",
-            False: "2962357ee740280270dc94c692464da6d7fb804769d06076568b70d043f6938c"},
+        1: {True: "90bbeb0d15dc61f72de673772bd880bca1254cb9968297613153c9f1c6c6215a",
+            False: "1f87cb4cccfc00cd2e4d21d7c347e1f759e979910e44a5c7261811769f7b810f"},
+        2: {True: "c88c3ffb60b1c44f560aa55824ffb040ecc4acdf23d0e024878923f5d82d7df2",
+            False: "955a8bd2868e8c1581e4c8bf94d3753ec73ec5839a13ec38d61f792266bf07c3"},
     },
     "flaim-private": {
-        1: {True: "11048b0a30cf2db2ed1d5220717e1ce384dadd4475a98a1f57e6bc54e47bf6dc",
-            False: "c4a129792db9214f40b67ca72dd9308942d67bd9786c777079707532b9475290"},
-        2: {True: "0a86e6b9d0d9cfd829fe7ed7d7d6caaad8689cce910a256d31c630c6987b806b",
-            False: "fb26b2799afecc07d353b995fb11193e85d0fe1a1403eb11d7d066d3d8e298db"},
+        1: {True: "fa6f6718235d44cfe8be75320be450e468bbde8d8d21d31156ec6bf964751b1a",
+            False: "8e6fc37e91a63a76ffc7b76bcc05c262bdba7a08e72764bfaaef07704d0b964e"},
+        2: {True: "c337990a1aa2143b527f274f2138ece7a63a59bac72b990c34013a8ccf288e6b",
+            False: "03ce06881ae88c3f67f76ef82298440cd0a95a661842b6885df9b2f2e021ae96"},
     },
 }
 
 # the same cases under budget annealing (``rounds`` None)
 ANNEALING_DIGESTS = {
     "aim": {
-        1: {True: "291a74fa96874647cc765b8f5fa0d98ba7200ad26f70c7c5433c160ff445a50c",
-            False: "6798dc172decadad83191a6f58206960341e06febce1bb2cfd2438de24ed1469"},
-        2: {True: "5d92504fbaa4dc4f86201c43f6b9cdf343fd8b7a5e3e3155fe785fe1a6fb15db",
-            False: "18b8b62b194a9c5dbd71ca35406d8e2f1fb70a2f34a56c6dc99dc0fc187611ef"},
+        1: {True: "d5cd5ac36e96ccec699394628419cad42a94d1d4b45f3e5594750a9c6545bb4f",
+            False: "b1484ee2e419fe403b824979c53c1ed99704f756c582af4e7ed13655c3a288b4"},
+        2: {True: "715c73fe41266919762b0537d7beec97f738533027a2876cca7dba1d4a8abe9c",
+            False: "60da0caf715fe7d601ff9e31b2e8af1d8f72c32372c26a0e970dc43cdfcc8817"},
     },
     "distaim": {
-        1: {True: "042262b235648f3e2e39dcedeb4fc1bc3d760984fc0ea5a106e3ddc7c55d07c9",
-            False: "7275a16dd0e855ae95355a24582958234fb551ca267724da1b6c878ef4bec092"},
-        2: {True: "7333804ca8fb9fb4ee990ffd75585301478b0e53407ee9f0fb48049cc18929fd",
-            False: "fcc3d609d0ad6c367a313bbe270d13f9f01b91b5bded90084a764f689f573ea4"},
+        1: {True: "b2015ffc0c2c0f459b5a745853991eeacc7977e6de7e62455d2a050fd0aa9036",
+            False: "fe49b93b58faf68611ad46cf967b3693c90f292c63e2cefe6d8d05ca08e31e8d"},
+        2: {True: "55c1bc65e3df05117a1a01c202e9c7dac4c88d66c8c5aceb1412b3b236c8b598",
+            False: "3e2f8dfb4d161adc297b586531bb890ea21e74921e74b13855a70e465b3c99b2"},
     },
     "flaim-naive": {
-        1: {True: "55a3c75dbc8a9c8bc98bbc91496661af0659bf26d07a5e81b5f77f4dc4d29319",
+        1: {True: "76a78667e4089f82d973c674a63204cf4896bcfa5971f68fedd09ef650432e77",
             False: "1fcc20785aac35fcd26a72636edac1615c59df5c70bf7bb70cadebf67f9b0e72"},
-        2: {True: "c9650baa837ad50d4461f0bcba89077c8109055581afe5ab84fa4cf676188fd7",
-            False: "a9a067cda93663ec014f9739941a3262861ba504a11e6a0a803f691eccd9c4e1"},
+        2: {True: "6bb574e66d7150403655513450713c520154c1d5b8bcbc7d189c5b300707783e",
+            False: "bd5e8dc55420e8b536de6949a60f678ea15f62c25c890ac40a0f8782484998fc"},
     },
     "flaim-oracle": {
-        1: {True: "2539b83e4db7df800284c5c4c11a56b4751148c57a22d2e0e041e6b51caeeeaf",
-            False: "a44cb1d6f0a798ecbcdb47ac59b54956df60d61106f4fc933a4917dad3a8066d"},
-        2: {True: "abd6b006f6cc65c5af58a4f3090bc92774a1f6c04875bb104578c5c2083080a5",
-            False: "5ec73b8cffb7f5556897109acd01faff6e6f03846f24478c089adc9d572d58f1"},
+        1: {True: "b695b92267a3e2a4498170d8cd0fb9f2be0c1edcde6917bef98cbb567a1eb5d7",
+            False: "5e4c62fcfabc16ff41afe5500abd85f7f7e83f904d74750eaf8056585675b9e8"},
+        2: {True: "f76940532bba64cc998bf89f2e82f457304e1b9dfef155311f2e32d64fa58cf3",
+            False: "b456cb111d67c1b6be947507826a17bac24642a298740ab1c29b86ff5d96b69e"},
     },
     "flaim-private": {
-        1: {True: "be9ac23c268c336b4f7019d75e6b497cce8fe5667899c50f6b1d31c8b312a51b",
-            False: "3ee30ed233cc7085dd9f2347cbc41ecf399e4f1007fbfa16e8513f290688a7b1"},
-        2: {True: "fe2b2297002d87b22b43db34a794583875448f24ac6d0bf4b4dc74d3a94db31a",
-            False: "33c10a2a83decfd0f75164ee8d507706de467a48c40d47d45e0400ac63904445"},
+        1: {True: "afe78eab8d89be602e9421aac619a870ff100c40e72927c5a259458bbc44101b",
+            False: "8ba65d5364339aac4d5220f0fed21874e018314cf52359dd9b7c7df114970aa4"},
+        2: {True: "71c2f6c089795dccef83cde6daa87ae0fd313ca09a6c3e31957ceff924591908",
+            False: "8550975d95c25473622fa9c977fdc34a02f97ca062d13ea1798357d3bd4db83a"},
     },
 }
 

@@ -153,6 +153,25 @@ def test_total_estimation_weighted_clipped():
     assert estimate_total([m1, m2]) == pytest.approx(120.0 / 4.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("counts", [1.0, np.nan]), ("counts", [np.inf, 1.0]), ("counts", [1.0, -np.inf]),
+    ("sigma", np.nan), ("sigma", np.inf),
+    ("weight", np.nan), ("weight", np.inf), ("weight", 0.0), ("weight", -1.0),
+])
+def test_measurement_refuses_nonfinite_inputs(field, value):
+    dom = domain([2])
+    args = {"counts": [1.0, 2.0], "sigma": 1.0, "weight": 1.0, field: value}
+    with pytest.raises(ValueError, match=field if field != "counts" else "finite"):
+        meas(dom, [0], args["counts"], sigma=args["sigma"], weight=args["weight"])
+
+
+@pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf])
+def test_fit_refuses_nonfinite_total(total):
+    dom = domain([2])
+    with pytest.raises(ValueError, match="total"):
+        fit([meas(dom, [0], [1.0, 2.0])], dom, total=total)
+
+
 def test_component_cell_cap(monkeypatch):
     monkeypatch.setattr(model_module, "MAX_CELLS", 64**2)
     dom = domain([64, 64, 64])
@@ -356,6 +375,56 @@ def _nested_measurements(rng, dom, comp):
     ]
 
 
+def _rooted_measurements(rng, dom, comp, n_roots):
+    """``n_roots`` measured sets of arity 2 to k-2, none inside another, with
+    a subset of each, a repeated query, and singletons for attributes no set
+    covers: a component whose plan needs intermediates."""
+    roots = []
+    while len(roots) < n_roots:
+        s = {int(a) for a in rng.choice(comp, size=rng.integers(2, len(comp) - 1), replace=False)}
+        if not any(s <= r or r <= s for r in roots):
+            roots.append(s)
+    sets = {tuple(sorted(r)) for r in roots}
+    for r in roots:
+        sets.add(tuple(sorted(rng.choice(sorted(r), size=rng.integers(1, len(r)), replace=False))))
+    covered = {a for s in sets for a in s}
+    sets.update((a,) for a in comp if a not in covered)
+    chosen = sorted(sets)
+    chosen.append(chosen[-1])  # merged with its first copy
+    return [
+        meas(dom, attrs, rng.normal(10, 3, dom.size(attrs)), weight=float(rng.uniform(0.1, 2)))
+        for attrs in chosen
+    ]
+
+
+def _roots(measurements):
+    sets = {m.query.attrs for m in measurements}
+    return [s for s in sets if not any(set(s) < set(t) for t in sets)]
+
+
+def _check_plan_against_direct_reduction(plan, comp, shape, rng):
+    """Every node's marginal and the gradient match direct full-table sums."""
+    p = rng.uniform(0, 1, size=shape)
+    flat = np.empty(plan.size)
+    views = plan.views(flat)
+    plan.marginals(p, views)
+    drops = [tuple(i for i in range(len(comp)) if i not in keep) for _, keep in plan.reductions]
+    for marginal, drop in zip(views, drops):
+        np.testing.assert_allclose(marginal, p.sum(axis=drop), rtol=1e-12, atol=0)
+
+    residual = np.empty(plan.size)
+    residual[:] = np.nan  # intermediates' cells must be overwritten
+    residual[plan.measured_cells] = rng.normal(0, 1, size=plan.y.size)
+    residuals = plan.views(residual)
+    want = np.zeros(shape)
+    for i, drop in enumerate(drops):
+        if i not in plan.intermediates:
+            want = want + np.expand_dims(residuals[i], drop)
+    got = np.empty(shape)
+    plan.gradient(residuals, got)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_fit_plan_matches_direct_reduction(seed):
     from fedsynth.model import _FitPlan
@@ -366,18 +435,113 @@ def test_fit_plan_matches_direct_reduction(seed):
     comp = tuple(sorted(int(a) for a in rng.choice(n_attrs + 2, size=n_attrs, replace=False)))
     shape = dom.shape(comp)
     plan = _FitPlan(comp, shape, _nested_measurements(rng, dom, comp))
-    p = rng.uniform(0, 1, size=shape)
+    _check_plan_against_direct_reduction(plan, comp, shape, rng)
 
-    drops = [tuple(i for i in range(len(comp)) if i not in keep) for keep in plan.axes]
-    for marginal, drop in zip(plan.marginals(p), drops):
-        np.testing.assert_allclose(marginal, p.sum(axis=drop), rtol=1e-12, atol=0)
 
-    residuals = [rng.normal(0, 1, size=y.shape) for y in plan.ys]
-    want = np.zeros(shape)
-    for r, drop in zip(residuals, drops):
-        want = want + np.expand_dims(r, drop)
-    got = plan.gradient([r.copy() for r in residuals])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_plan_with_intermediates_matches_direct_reduction(seed):
+    from fedsynth.model import _FitPlan
+
+    rng = fork(seed, "intermediates")
+    k = 5 + seed % 2
+    dom = domain(list(rng.integers(2, 5, size=k + 1)))
+    comp = tuple(sorted(int(a) for a in rng.choice(k + 1, size=k, replace=False)))
+    shape = dom.shape(comp)
+    measurements = _rooted_measurements(rng, dom, comp, 3 + seed % 3)
+    assert sum(len(r) <= k - 2 for r in _roots(measurements)) >= 3
+    plan = _FitPlan(comp, shape, measurements)
+    assert plan.intermediates, "roots of arity k-2 or less must share intermediates"
+    assert all(len(plan.reductions[i][1]) == k - 1 and plan.parents[i] is None for i in plan.intermediates)
+    _check_plan_against_direct_reduction(plan, comp, shape, rng)
+
+
+def test_fit_plan_reduces_a_benchmark_component_from_three_nodes():
+    # a 32,768-cell component of the fed-trend workload, whose six roots each
+    # reduced from the full table before intermediates
+    from fedsynth.model import _FitPlan
+
+    dom = domain([8] * 10)
+    comp = (0, 1, 6, 7, 9)
+    rng = fork(0, "benchmark-component")
+    roots = [(0, 1, 7), (1, 6, 9), (0, 6), (0, 9), (6, 7), (7, 9)]
+    measurements = [meas(dom, r, rng.normal(50, 5, dom.size(r))) for r in roots]
+    measurements += [meas(dom, (a,), rng.normal(400, 5, 8)) for a in comp]
+    assert sorted(_roots(measurements)) == sorted(roots)
+    plan = _FitPlan(comp, dom.shape(comp), measurements)
+    assert len(plan.tops) <= 3
+    _check_plan_against_direct_reduction(plan, comp, dom.shape(comp), rng)
+
+
+def reference_fit(comp, shape, measurements, total, iterations, tolerance, init):
+    """The fitter with every marginal summed from the full table and the
+    objective summed per (merged) measurement."""
+    merged = sorted(model_module._merge_same_query(measurements),
+                    key=lambda m: (-len(m.query.attrs), -m.query.cardinality, m.query.attrs))
+    drops = [tuple(i for i, a in enumerate(comp) if a not in m.query.attrs) for m in merged]
+
+    def softmax(theta):
+        theta = theta - theta.max()
+        p = np.exp(theta)
+        return theta, p * (total / p.sum())
+
+    def evaluate(p):
+        diffs = [p.sum(axis=drop).reshape(-1) - m.noisy_counts for drop, m in zip(drops, merged)]
+        return sum(m.weight * float(np.vdot(d, d)) for m, d in zip(merged, diffs)), diffs
+
+    theta, p = softmax(np.zeros(shape) if init is None else init)
+    obj, diffs = evaluate(p)
+    trace, step = [obj], 2.0 / sum(m.weight for m in merged)
+    for _ in range(iterations):
+        grad = np.zeros(shape)
+        for m, d, drop in zip(merged, diffs, drops):
+            grad = grad + np.expand_dims((2.0 * m.weight * d).reshape(p.sum(axis=drop).shape), drop)
+        for tries in range(80):
+            theta_new, p_new = softmax(theta - step * grad)
+            obj_new, diffs_new = evaluate(p_new)
+            if obj_new <= obj and obj - obj_new >= 0.5 * float(np.vdot(grad, p - p_new)):
+                break
+            step *= 0.5
+        else:
+            break
+        if tries == 0:
+            step *= 2.0
+        decrease = obj - obj_new
+        theta, p, obj, diffs = theta_new, p_new, obj_new, diffs_new
+        trace.append(obj)
+        if decrease <= tolerance * max(trace[-2], 1e-300):
+            break
+    return p, trace
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_component_matches_direct_reduction_reference(seed):
+    from fedsynth.model import _fit_component
+
+    rng = fork(seed, "reference-fit")
+    k = 4 + seed % 3
+    dom = domain(list(rng.integers(2, 5, size=k)))
+    comp = tuple(range(k))
+    shape = dom.shape(comp)
+    if seed % 2:
+        measurements = _rooted_measurements(rng, dom, comp, 3)
+    else:
+        measurements = _nested_measurements(rng, dom, comp)
+    # noisy measurements of one table, so the fit has a sensible optimum
+    data = DiscreteDataset(dom, rng.integers(0, dom.cardinalities, size=(500, k)))
+    measurements = [
+        meas(dom, m.query.attrs, evaluate_marginal(data, m.query) + rng.normal(0, 4, m.query.cardinality),
+             weight=m.weight)
+        for m in measurements
+    ]
+    total = estimate_total(measurements)
+    init = rng.normal(0, 1, size=shape) if seed % 4 < 2 else None
+    tolerance = 1e-4 if seed < 6 else 1e-5
+    want_p, want_trace = reference_fit(comp, shape, measurements, total, 300, tolerance, init)
+    got_p, got_trace = _fit_component(comp, shape, measurements, total, 300, tolerance,
+                                      None if init is None else init.copy())
+    assert len(got_trace) == len(want_trace)
+    np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got_p, want_p, rtol=1e-10, atol=0)
 
 
 def test_warm_start_from_tables_matches_stored_logits():
