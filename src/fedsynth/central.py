@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal, normalized_counts
-from .model import Measurement, ModelState, fit
+from .model import CELL_BYTES, Measurement, ModelState, fit
 from .privacy import (
     PrivacyAccountant,
     annealing_condition,
@@ -147,7 +147,7 @@ class Loop:
     anneal_rounds_factor = 16  # an annealing start budgets for this many rounds per attribute
 
     def __init__(self, data: DiscreteDataset, completed: Workload, config: AimConfig, n_init: int, cap: float):
-        largest_oneway = max(data.domain.cardinalities) * 8
+        largest_oneway = max(data.domain.cardinalities) * CELL_BYTES
         if config.max_model_size <= largest_oneway:
             raise ValueError(
                 f"max_model_size={config.max_model_size} bytes cannot hold the largest "

@@ -194,14 +194,18 @@ def load_dataset(path: str) -> DiscreteDataset:
     """Load a dataset written by :func:`save_dataset`.
 
     Pickled (object) arrays are refused with ``ValueError``, so loading an
-    untrusted file cannot run code.
+    untrusted file cannot run code, and so are non-integer rows, which would
+    otherwise be truncated to codes silently.
     """
     with np.load(path, allow_pickle=False) as archive:
         domain = Domain.make(
             [str(a) for a in archive["attributes"]],
             [int(c) for c in archive["cardinalities"]],
         )
-        return DiscreteDataset(domain, archive["rows"])
+        rows = archive["rows"]
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"{path}: rows must have an integer dtype, not {rows.dtype}")
+        return DiscreteDataset(domain, rows)
 
 
 def save_partition(path: str, assignments: Iterable[int]) -> None:

@@ -210,6 +210,11 @@ class _FlaimLoop(Loop):
     def __init__(self, data, partition, completed, config):
         d = len(data.domain)
         self.private = config.variant == "private"
+        if self.private and all(len(q) == 1 for q in completed.queries):
+            raise ValueError(
+                "flaim-private selects only queries of two or more attributes, "
+                "and the completed workload has none"
+            )
         s = config.local_rounds
         # the private variant measures no init one-ways but refreshes all d each round
         self.gauss_per_round = s + d if self.private else s
@@ -370,7 +375,7 @@ class _FlaimLoop(Loop):
         current_comps = list(model.measured_components)
         for attrs in sorted(selected):
             merged = merged_components(current_comps, attrs)
-            if admitted and component_bytes(self.domain, merged) > max(limit, 0.0):
+            if admitted and component_bytes(self.domain, merged) > limit:
                 rejected.append(attrs)
                 continue
             admitted.append(attrs)

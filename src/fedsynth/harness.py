@@ -309,10 +309,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Execute ``repeats`` runs at seeds seed+i; failures are recorded and do
     not stop the remaining runs."""
     seeds = [config.seed + i for i in range(config.repeats)]
-    if jobs <= 1:
+    # the pool forks all its workers at the first submit, so start no more than there are runs
+    workers = min(jobs, len(seeds))
+    if workers <= 1:
         results = [execute_run(config, s) for s in seeds]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(execute_run, [config] * len(seeds), seeds))
     results.sort(key=lambda r: (r.config_hash, r.seed))
     return results

@@ -17,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,40 +66,24 @@ class ComponentTooLargeError(RuntimeError):
         )
 
 
-def _union_find_components(n_attrs: int, groups: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    parent = list(range(n_attrs))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    touched = set()
-    for group in groups:
-        group = list(group)
-        touched.update(group)
-        for a, b in zip(group, group[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    buckets: dict[int, list[int]] = {}
-    for a in sorted(touched):
-        buckets.setdefault(find(a), []).append(a)
-    return [tuple(v) for _, v in sorted(buckets.items())]
-
-
 def merged_components(
     components: Sequence[tuple[int, ...]], extra: Sequence[int] | None = None
 ) -> list[tuple[int, ...]]:
-    """Component list after (hypothetically) adding one more co-measured set."""
-    groups = [list(c) for c in components]
-    if extra:
-        groups.append(sorted(extra))
-    if not groups:
-        return []
-    n = max(max(g) for g in groups) + 1
-    return _union_find_components(n, groups)
+    """Component list after (hypothetically) adding one more co-measured set.
+
+    ``components`` must be disjoint, as a model's are.  Every component that
+    ``extra`` touches joins it in one sorted tuple; the others are kept.
+    """
+    if not extra:
+        return sorted(components)
+    joined = set(extra)
+    kept = []
+    for comp in components:
+        if joined.isdisjoint(comp):
+            kept.append(comp)
+        else:
+            joined.update(comp)
+    return sorted(kept + [tuple(sorted(joined))])
 
 
 def component_bytes(domain: Domain, components: Sequence[tuple[int, ...]]) -> int:
@@ -458,7 +443,7 @@ def fit(
     if not np.isfinite(total):
         raise ValueError("total must be finite")
     total = max(float(total), 1e-9)  # all-negative noisy totals would zero the mass
-    comps = _union_find_components(len(domain), [m.query.attrs for m in measurements])
+    comps = reduce(merged_components, (m.query.attrs for m in measurements), [])
     for comp in comps:
         if domain.size(comp) > MAX_CELLS:
             raise ComponentTooLargeError(comp, domain.size(comp), MAX_CELLS)

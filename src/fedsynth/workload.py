@@ -28,6 +28,8 @@ class Workload:
     def __post_init__(self):
         if len(self.queries) != len(self.weights):
             raise ValueError("queries and weights must align")
+        if not self.queries:
+            raise ValueError("workload has no queries, so a protocol has nothing to select")
 
     @classmethod
     def make(cls, domain: Domain, attr_sets: Iterable[Sequence[int]]) -> "Workload":
@@ -87,8 +89,6 @@ def workload_error(source_a, source_b, workload: Workload, normalize: bool = Tru
     own total first, giving an O(1)-scale per-record error; otherwise raw
     count tables are compared.
     """
-    if len(workload) == 0:
-        raise ValueError("workload is empty")
     total = 0.0
     for q in workload.queries:
         a = np.asarray(source_a.marginal_counts(q), dtype=np.float64)

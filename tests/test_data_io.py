@@ -118,3 +118,16 @@ def test_dataset_npz_refuses_pickled_arrays(tmp_path):
     )
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def test_dataset_npz_refuses_float_rows(tmp_path):
+    # float rows would be truncated to codes: [[0.9, 1.7]] loaded as [[0, 1]]
+    path = str(tmp_path / "float.npz")
+    np.savez(
+        path,
+        rows=np.array([[0.9, 1.7]]),
+        attributes=np.array(["a", "b"]),
+        cardinalities=np.array([2, 2], dtype=np.int64),
+    )
+    with pytest.raises(ValueError, match="integer dtype"):
+        load_dataset(path)

@@ -97,6 +97,50 @@ def test_parallel_jobs_match_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs,repeats,expected", [(64, 2, [2]), (64, 1, []), (64, 0, [])])
+def test_run_experiment_starts_at_most_one_worker_per_run(monkeypatch, jobs, repeats, expected):
+    import fedsynth.harness as harness
+
+    started = []
+
+    class InlinePool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "execute_run", lambda config, seed: harness.RunResult("h", "aim", seed))
+    results = run_experiment(tiny_config(repeats=repeats), jobs=jobs)
+    assert [r.seed for r in results] == [10 + i for i in range(repeats)]
+    assert started == expected
+
+
+@pytest.mark.parametrize("method", ["aim", "distaim", "flaim-naive", "flaim-oracle", "flaim-private"])
+def test_empty_workload_refused_by_name(method):
+    config = tiny_config(method=method, repeats=1)
+    config.workload["count"] = 0
+    assert "workload has no queries" in execute_run(config, 0).status
+
+
+@pytest.mark.parametrize("method", ["aim", "distaim", "flaim-naive", "flaim-oracle", "flaim-private"])
+def test_one_way_workload_runs_except_flaim_private(method):
+    config = tiny_config(method=method, repeats=1)
+    config.workload["arity"] = 1
+    status = execute_run(config, 0).status
+    if method == "flaim-private":
+        assert "flaim-private selects only queries of two or more attributes" in status
+    else:
+        assert status == "ok"
+
+
 def test_write_results_layout(tmp_path):
     config = tiny_config(repeats=1)
     results = run_experiment(config)

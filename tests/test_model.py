@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedsynth.model as model_module
 from fedsynth.domain import DiscreteDataset, Domain, MarginalQuery, evaluate_marginal
@@ -300,10 +301,51 @@ def test_model_size_merge_arithmetic():
     assert merged >= base
 
 
-def test_merged_components_helper():
-    comps = [(0, 1), (2,)]
-    assert merged_components(comps, (1, 2)) == [(0, 1, 2)]
-    assert merged_components(comps, None) == [(0, 1), (2,)]
+@pytest.mark.parametrize(
+    "extra,expected",
+    [
+        ((1, 2), [(0, 1, 2), (5, 6)]),  # touches two components
+        ((3, 4), [(0, 1), (2,), (3, 4), (5, 6)]),  # disjoint from all
+        ((5,), [(0, 1), (2,), (5, 6)]),  # inside one
+        (None, [(0, 1), (2,), (5, 6)]),
+    ],
+)
+def test_merged_components_helper(extra, expected):
+    assert merged_components([(5, 6), (0, 1), (2,)], extra) == expected
+
+
+def _co_measurement_components(sets):
+    """Connected components of the graph joining attributes measured together (BFS)."""
+    neighbours = {}
+    for s in sets:
+        for a in s:
+            neighbours.setdefault(a, set()).update(s)
+    seen, comps = set(), []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for a in queue:  # the list grows while it is read: breadth-first
+            for b in neighbours[a] - seen:
+                seen.add(b)
+                queue.append(b)
+        comps.append(tuple(sorted(queue)))
+    return sorted(comps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=3), max_size=8))
+def test_merge_rule_gives_co_measurement_components(sets):
+    attr_sets = [tuple(sorted(s)) for s in sets]
+    expected = _co_measurement_components(attr_sets)
+    comps = []
+    for attrs in attr_sets:
+        comps = merged_components(comps, attrs)
+    assert comps == expected
+    dom = domain([2] * 7)
+    measurements = [meas(dom, attrs, np.ones(2 ** len(attrs))) for attrs in attr_sets]
+    assert list(fit(measurements, dom, iterations=1).measured_components) == expected
 
 
 # --- nll -----------------------------------------------------------------------------

@@ -95,8 +95,8 @@ def test_workload_error_hand_value():
     assert workload_error(d1, d2, w, normalize=True) == 2.0
 
 
-def test_workload_error_empty_workload_rejected():
-    dom = domain()
-    data = DiscreteDataset(dom, np.zeros((0, 5)))
-    with pytest.raises(ValueError):
-        workload_error(data, data, Workload(queries=(), weights=()))
+def test_empty_workload_refused():
+    with pytest.raises(ValueError, match="no queries"):
+        Workload(queries=(), weights=())
+    with pytest.raises(ValueError, match="no queries"):
+        random_workload(domain(), arity=2, count=0, seed=0)
