@@ -32,7 +32,7 @@ import numpy as np
 
 from .central import AimConfig, AimLoop, Loop, filter_by_size
 from .central import _aim_utilities as _local_utilities  # kept by name; perfbench traces client scoring here
-from .domain import DiscreteDataset, MarginalQuery, evaluate_marginal, normalized_counts
+from .domain import DiscreteDataset, MarginalQuery, normalized_counts
 from .model import Measurement, ModelState, component_bytes, merged_components
 from .model import fit  # noqa: F401  (kept as a module attribute; perfbench patches it here)
 from .partition import ClientPartition, client_counts, client_query_skew
@@ -140,14 +140,15 @@ class _DistAimLoop(AimLoop):
         return self.accumulator.current(attrs)
 
     def join(self) -> list[int]:
-        """Sample this attempt's clients; first-timers pool their answers."""
+        """Sample this attempt's clients; first-timers pool their answers
+        as one block."""
         cfg = self.config
         sampled = _sample_participants(cfg, self.partition, "sample", self.t)
-        for k in sampled:
-            if k not in self.participated:
-                answers = {attrs: matrix[k] for attrs, matrix in self.answers.items()}
-                self.accumulator.add_client(answers, int(self.sizes[k]), self.ledger, k, self.t)
-                self.participated.add(k)
+        fresh = [k for k in sampled if k not in self.participated]
+        if fresh:
+            answers = {attrs: matrix[fresh] for attrs, matrix in self.answers.items()}
+            self.accumulator.add_client(answers, self.sizes[fresh], self.ledger, fresh, self.t)
+            self.participated.update(fresh)
         if cfg.normalize_scores:
             self.mass = self.accumulator.mass
         return sampled
@@ -229,7 +230,7 @@ class _FlaimLoop(Loop):
         self.sizes = partition.sizes()
         if config.variant == "oracle":  # (clients x queries) exact skew, fixed for the run
             self.oracle_skew = np.stack([
-                oracle_heterogeneity(self.answers[q.attrs], evaluate_marginal(data, q))
+                oracle_heterogeneity(self.answers[q.attrs], self.answers[q.attrs].sum(axis=0))
                 for q in completed.queries
             ], axis=1)
         if config.variant in ("oracle", "private"):

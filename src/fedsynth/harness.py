@@ -140,8 +140,12 @@ def build_dataset(
     """Materialize (train, holdout, built-in partition, train-row indices).
 
     The train-row indices refer to the raw dataset's row order and let
-    file-based partitions stay aligned after the holdout split.
+    file-based partitions stay aligned after the holdout split.  A
+    ``holdout_fraction`` outside (0, 1), or one that rounds either side of
+    the split to no rows, is refused.
     """
+    if not 0 < holdout_fraction < 1:
+        raise ValueError(f"holdout_fraction must lie in (0, 1), got {holdout_fraction}")
     kind = spec.get("kind")
     if kind == "synthfs":
         result = synthfs(
@@ -154,26 +158,30 @@ def build_dataset(
             bins=spec.get("bins", 32),
             holdout_fraction=holdout_fraction,
         )
-        return result.data, result.holdout, result.partition, None
-    if kind == "mixture":
-        full = mixture_dataset(spec.get("rows", 20000), spec.get("seed", seed))
-    elif kind == "csv":
-        full, _ = prepare_dataset(spec["path"], spec["schema"])
-    elif kind == "npz":
-        full = load_dataset(spec["path"])
+        train, holdout, builtin, train_rows = result.data, result.holdout, result.partition, None
     else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
-    # holdout split before partitioning
-    rng = fork(spec.get("seed", seed), "holdout")
-    n = full.n_records
-    n_hold = int(round(holdout_fraction * n))
-    hold_idx = rng.choice(n, size=n_hold, replace=False)
-    mask = np.ones(n, dtype=bool)
-    mask[hold_idx] = False
-    train_rows = np.nonzero(mask)[0]
-    train = full.subset(train_rows)
-    holdout = full.subset(np.nonzero(~mask)[0])
-    return train, holdout, None, train_rows
+        if kind == "mixture":
+            full = mixture_dataset(spec.get("rows", 20000), spec.get("seed", seed))
+        elif kind == "csv":
+            full, _ = prepare_dataset(spec["path"], spec["schema"])
+        elif kind == "npz":
+            full = load_dataset(spec["path"])
+        else:
+            raise ValueError(f"unknown dataset kind {kind!r}")
+        # holdout split before partitioning
+        rng = fork(spec.get("seed", seed), "holdout")
+        n = full.n_records
+        n_hold = int(round(holdout_fraction * n))
+        hold_idx = rng.choice(n, size=n_hold, replace=False)
+        mask = np.ones(n, dtype=bool)
+        mask[hold_idx] = False
+        train_rows = np.nonzero(mask)[0]
+        train, holdout, builtin = full.subset(train_rows), full.subset(np.nonzero(~mask)[0]), None
+    if train.n_records == 0 or holdout.n_records == 0:
+        raise ValueError(
+            f"holdout_fraction {holdout_fraction} leaves the train or the holdout split with no rows"
+        )
+    return train, holdout, builtin, train_rows
 
 
 def build_partition(
@@ -366,7 +374,8 @@ METRICS = ["error_normalized", "error_raw", "nll", "nll_sampled"]
 
 def summarize(rows: list[dict]) -> list[dict]:
     """Per (config, method) mean/std of each metric plus within-config rank
-    by normalized error (1 = lowest mean)."""
+    by normalized error (1 = lowest mean); failed runs are left out, and
+    a file with no successful run is refused."""
     if not rows:
         raise ValueError("no results to summarize")
     groups: dict[tuple[str, str], list[dict]] = {}
@@ -374,6 +383,8 @@ def summarize(rows: list[dict]) -> list[dict]:
         if str(row.get("status", "ok")).startswith("failed"):
             continue
         groups.setdefault((row["config_hash"], row["method"]), []).append(row)
+    if not groups:
+        raise ValueError("no successful runs to summarize")
     summary = []
     for (chash, method), members in sorted(groups.items()):
         entry: dict[str, Any] = {
@@ -418,8 +429,6 @@ def aggregate_ranks(summary: list[dict]) -> list[dict]:
 
 
 def summary_to_csv(summary: list[dict]) -> str:
-    if not summary:
-        return ""
     fields = list(summary[0].keys())
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")

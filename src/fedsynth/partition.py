@@ -15,13 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (
-    DiscreteDataset,
-    Domain,
-    MarginalQuery,
-    evaluate_marginal,
-    normalized_counts,
-)
+from .domain import DiscreteDataset, Domain, MarginalQuery, normalized_counts
 from .rng import fork
 from .workload import Workload
 
@@ -67,6 +61,8 @@ def partition_label_skew(
 ) -> ClientPartition:
     """Dirichlet(beta) label-skew split: rows of each class value are spread
     across clients by a class-specific multinomial draw."""
+    if n_clients < 1:
+        raise ValueError("need at least one client")
     if beta <= 0:
         raise ValueError("beta must be positive")
     if isinstance(class_attr, str):
@@ -93,6 +89,8 @@ def partition_cluster_skew(data: DiscreteDataset, n_clients: int, seed: int) -> 
     """Feature-skew split: k-means (at most 50 iterations) over normalized
     value encodings, one cluster per client, empty clusters repaired by
     splitting the largest."""
+    if n_clients < 1:
+        raise ValueError("need at least one client")
     if n_clients > data.n_records:
         raise ValueError("more clients than rows")
     rng = fork(seed, "partition", "cluster", n_clients)
@@ -143,6 +141,10 @@ def synthfs(
     """Feature-skew synthetic data: per client and feature, a Gaussian whose
     mean is drawn from a finite Zipf(beta) over {1..n_zipf}; 10% of rows are
     held out as a test split and the rest keep their client assignment."""
+    if n_clients < 1:
+        raise ValueError("need at least one client")
+    if rows_per_client < 1:
+        raise ValueError("rows_per_client must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
     if n_zipf < 1:
@@ -220,7 +222,8 @@ def heterogeneity_report(
         raise ValueError("partition does not cover the dataset")
     skews = np.zeros((partition.n_clients, len(workload)))
     for j, q in enumerate(workload.queries):
-        skews[:, j] = client_query_skew(client_counts(data, partition, q), evaluate_marginal(data, q))
+        counts = client_counts(data, partition, q)
+        skews[:, j] = client_query_skew(counts, counts.sum(axis=0))
     empty = tuple(int(k) for k in np.nonzero(partition.sizes() == 0)[0])
     return HeterogeneityReport(skews, workload.queries, empty)
 

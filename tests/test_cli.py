@@ -209,6 +209,16 @@ def test_summarize_command(tmp_path):
     assert "flaim-private" in text
 
 
+def test_summarize_refuses_a_file_with_no_successful_run(tmp_path, capsys):
+    failed = [harness.RunResult("h", method, 0, status="failed: ValueError: x") for method in ("aim", "distaim")]
+    results = tmp_path / "results.csv"
+    results.write_text(harness.results_to_csv(failed))
+    summary_out = tmp_path / "summary.csv"
+    assert main(["summarize", "--results", str(results), "--out", str(summary_out)]) == 1
+    assert "no successful runs" in capsys.readouterr().err
+    assert not summary_out.exists()
+
+
 def test_epsilon_override(tmp_path):
     cfg = tmp_path / "exp.json"
     out = str(tmp_path / "out")

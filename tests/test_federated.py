@@ -71,6 +71,8 @@ def test_client_answers_match_per_client_counts(kind):
         assert not matrix.flags.writeable
         for k in range(partition.n_clients):
             np.testing.assert_array_equal(matrix[k], evaluate_marginal(client_data(partition, data, k), q))
+        # the column sums are the exact global marginal the oracle and the report use
+        np.testing.assert_array_equal(matrix.sum(axis=0), evaluate_marginal(data, q))
 
 
 def test_client_answers_widen_for_a_client_int16_cannot_count():

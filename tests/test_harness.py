@@ -7,6 +7,7 @@ from fedsynth.central import AimConfig
 from fedsynth.federated import FedConfig
 from fedsynth.harness import (
     ExperimentConfig,
+    build_dataset,
     execute_run,
     read_results_csv,
     results_to_csv,
@@ -309,3 +310,16 @@ def test_mixture_dataset_config_with_partition():
     results = run_experiment(config)
     assert results[0].status == "ok"
     assert results[0].client_bytes_total > 0
+
+
+@pytest.mark.parametrize("fraction,message", [
+    (0.0, "must lie in"), (1.0, "must lie in"), (-0.1, "must lie in"), (1.5, "must lie in"),
+    (0.001, "no rows"), (0.999, "no rows"),  # each side rounds to 0 of 300 rows
+])
+@pytest.mark.parametrize("spec", [
+    {"kind": "synthfs", "clients": 3, "rows_per_client": 100, "features": 3, "bins": 4, "seed": 1},
+    {"kind": "mixture", "rows": 300, "seed": 3},
+], ids=["synthfs", "mixture"])
+def test_holdout_split_leaving_a_side_empty_is_refused(spec, fraction, message):
+    with pytest.raises(ValueError, match=message):
+        build_dataset(spec, 0, fraction)

@@ -28,7 +28,6 @@ KEPT = {
     "secagg.share.client": "the tests' reference for secret sharing",
     "secagg.share.round_index": "the tests' reference for secret sharing",
     "secagg.share.protocol": "the tests' reference for secret sharing",
-    "secagg.CommsLedger.charge.bytes_received": "a column of the comms CSV every run writes",
 }
 
 

@@ -116,6 +116,22 @@ def test_cluster_exceeds_rows_rejected():
         partition_cluster_skew(data, 6, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda data: partition_label_skew(data, 0, 2, beta=0.5, seed=0), "need at least one client"),
+        (lambda data: partition_label_skew(data, -2, 2, beta=0.5, seed=0), "need at least one client"),
+        (lambda data: partition_cluster_skew(data, 0, seed=0), "need at least one client"),
+        (lambda data: synthfs(n_clients=0, rows_per_client=10, seed=0), "need at least one client"),
+        (lambda data: synthfs(n_clients=3, rows_per_client=0, seed=0), "rows_per_client must be >= 1"),
+    ],
+    ids=["label_skew-0", "label_skew-negative", "cluster-0", "synthfs-clients-0", "synthfs-rows-0"],
+)
+def test_split_without_clients_or_rows_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make(toy_data())
+
+
 # --- synthfs -------------------------------------------------------------------------
 
 
