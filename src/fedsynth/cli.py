@@ -1,4 +1,5 @@
-"""Command-line entry points: prepare, partition, run, summarize, audit-ledger, synthfs.
+"""Command-line entry points: prepare, partition, run, summarize, compare,
+audit-ledger, synthfs.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.  Every
 randomized subcommand requires an explicit --seed (or --seed-from-entropy);
@@ -14,6 +15,8 @@ import math
 import os
 import secrets
 import sys
+
+import numpy as np
 
 from . import data_io, harness
 from .data_io import atomic_write_text, save_dataset, save_partition
@@ -96,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True, help="results.csv from a run")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
+
+    p = sub.add_parser("compare", help="paired comparison of two result directories")
+    p.add_argument("before", help="directory holding the baseline results.csv files")
+    p.add_argument("after", help="directory holding the changed results.csv files")
 
     p = sub.add_parser("audit-ledger", help="verify accounting files in a run directory")
     p.add_argument("directory", help="run output directory")
@@ -203,6 +210,54 @@ def cmd_summarize(args) -> int:
     return EXIT_OK
 
 
+COMPARED = ("error_normalized", "nll")
+BOOTSTRAP_RESAMPLES = 2000
+
+
+def _successful_rows(directory: str) -> dict[tuple[str, str, str], dict]:
+    """Successful result rows of every results.csv under ``directory``,
+    keyed by (config hash, method, seed)."""
+    paths = sorted(glob.glob(os.path.join(directory, "**", "results.csv"), recursive=True))
+    if not paths:
+        raise ConfigError(f"no results.csv under {directory}")
+    return {
+        (row["config_hash"], row["method"], row["seed"]): row
+        for path in paths
+        for row in harness.read_results_csv(path)
+        if not str(row.get("status", "ok")).startswith("failed")
+    }
+
+
+def _bootstrap_interval(deltas: np.ndarray) -> tuple[float, float]:
+    """95% percentile bootstrap interval of the mean of ``deltas``, from a
+    fixed seed so the same inputs always print the same interval."""
+    rng = np.random.default_rng(0)
+    picks = rng.integers(0, deltas.size, size=(BOOTSTRAP_RESAMPLES, deltas.size))
+    low, high = np.percentile(deltas[picks].mean(axis=1), [2.5, 97.5])
+    return float(low), float(high)
+
+
+def cmd_compare(args) -> int:
+    before, after = _successful_rows(args.before), _successful_rows(args.after)
+    keys = sorted(set(before) & set(after))
+    if not keys:
+        raise ConfigError("no (config_hash, method, seed) row pairs between the two directories")
+    print(f"{len(keys)} paired runs; delta = after - before (lower is better), "
+          "95% bootstrap interval of the mean delta, * when it excludes 0")
+    for method in sorted({key[1] for key in keys}):
+        paired = [key for key in keys if key[1] == method]
+        for metric in COMPARED:
+            old = np.array([float(before[key][metric]) for key in paired])
+            new = np.array([float(after[key][metric]) for key in paired])
+            deltas = new - old
+            low, high = _bootstrap_interval(deltas)
+            print(f"{method} {metric}: n={len(paired)} before={old.mean():.4f} after={new.mean():.4f} "
+                  f"delta={deltas.mean():+.4g} [{low:+.4g}, {high:+.4g}] "
+                  f"wins={int((deltas < 0).sum())} losses={int((deltas > 0).sum())}"
+                  + (" *" if low > 0 or high < 0 else ""))
+    return EXIT_OK
+
+
 def cmd_audit_ledger(args) -> int:
     pattern = os.path.join(args.directory, "accounting_*.json")
     files = sorted(glob.glob(pattern))
@@ -242,6 +297,7 @@ _HANDLERS = {
     "synthfs": cmd_synthfs,
     "run": cmd_run,
     "summarize": cmd_summarize,
+    "compare": cmd_compare,
     "audit-ledger": cmd_audit_ledger,
 }
 

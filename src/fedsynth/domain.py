@@ -80,7 +80,12 @@ class MarginalQuery:
 
 
 class DiscreteDataset:
-    """Integer-encoded rows over a :class:`Domain`."""
+    """Integer-encoded rows over a :class:`Domain`.
+
+    The dataset's rows are read-only.  A validated dataset keeps its own
+    copy of ``rows``; with ``validate=False`` an int64 array is taken as
+    given and made read-only in place, for callers that have just built it.
+    """
 
     def __init__(self, domain: Domain, rows: np.ndarray, validate: bool = True):
         rows = np.asarray(rows, dtype=np.int64)
@@ -88,11 +93,12 @@ class DiscreteDataset:
             rows = rows.reshape(0, len(domain))
         if rows.ndim != 2 or rows.shape[1] != len(domain):
             raise ValueError(f"rows must have shape (N, {len(domain)})")
-        if validate and rows.shape[0] > 0:
-            upper = np.asarray(domain.cardinalities, dtype=np.int64)
-            if rows.min() < 0 or np.any(rows.max(axis=0) >= upper):
-                raise ValueError("row entries must lie in [0, cardinality) per attribute")
-        rows = rows.copy()
+        if validate:
+            if rows.shape[0] > 0:
+                upper = np.asarray(domain.cardinalities, dtype=np.int64)
+                if rows.min() < 0 or np.any(rows.max(axis=0) >= upper):
+                    raise ValueError("row entries must lie in [0, cardinality) per attribute")
+            rows = rows.copy()
         rows.flags.writeable = False
         self.domain = domain
         self.rows = rows

@@ -1,25 +1,33 @@
 """Maximum-entropy distribution estimation from noisy marginal measurements.
 
 The co-measurement graph (attributes joined when they appear in the same
-measured query) is split into connected components.  Each component keeps a
-full nonnegative joint table of fixed total mass, fitted by entropic mirror
+measured query) is split into connected components.  Each component is a
+nonnegative distribution of fixed total mass, fitted by entropic mirror
 descent against the weighted squared-L2 measurement objective
 
     sum_i alpha_i * || M_{q_i}(p) - y_i ||_2^2 .
 
+Mirror descent adds measured-marginal residuals to the logits, so a fitted
+component is a graphical model over its measured sets.  A component whose
+junction tree (min-fill triangulation of the measured sets) holds fewer
+cells than its full table, by more than an allowance for each extra
+clique's array calls, is fitted and kept as calibrated clique and separator
+tables; any other component is one clique, its full joint table.
 Components small enough for this treatment are enforced upstream by
-model-size filtering; attributes never measured stay as uniform singleton
-factors so the model always covers the whole domain.
+model-size filtering, which still counts full-table bytes; attributes never
+measured stay as uniform singleton factors so the model always covers the
+whole domain.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
-from typing import Sequence
+from itertools import accumulate, combinations
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +38,17 @@ MAX_CELLS = 1 << 26  # largest component table a fit accepts
 NLL_FLOOR = 1e-9  # probability floor of the holdout NLL, so unseen cells stay finite
 # log floor for warm-start logits: cells whose mass underflowed to zero
 _LOG_FLOOR = np.finfo(np.float64).smallest_subnormal
+# a clique beyond the first adds about ten array calls to each line-search
+# trial, some 20-30 us on a 2-core x86 machine: the time the full-table fit
+# spends per trial on about this many cells, so a tree must save more than
+# that per extra clique
+_CLIQUE_CELLS = 4096
+# relative per-cell agreement a warm start's clique split must reach
+_SPLIT_RTOL = 1e-9
+# smallest separator sum a calibration accepts from one shift per clique: its
+# cells keep full precision, and what underflows below them is under 1e-100
+# of the mass
+_SUM_FLOOR = 1e-200
 
 
 @dataclass(frozen=True)
@@ -98,20 +117,79 @@ def _softmax_mass(theta: np.ndarray, total: float, out: np.ndarray) -> None:
     out *= total / out.sum()
 
 
-class _FitPlan:
-    """How one component fit reduces marginals and assembles gradients.
+def _junction_tree(
+    sets: Sequence[tuple[int, ...]], shape: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[int | None]]:
+    """Cliques and parents of a junction tree over ``sets`` (axis tuples of
+    a connected component with axis sizes ``shape``).
 
-    The plan's nodes are the measured sets (repeats merged) plus
-    *intermediates*.  In a component of k attributes, a root is a measured
-    set with no measured strict superset.  While some root of arity k-2 or
-    less is not inside an intermediate, the unmeasured (k-1)-way marginal
-    that covers the most such roots becomes one (ties go to the first in
-    ``itertools.combinations`` order).  Nodes are ordered largest first and
-    each takes as parent its smallest earlier strict superset.  A node
-    without one is top-level: it is reduced from, and broadcast back into,
-    the full table.  Every other marginal is summed from its parent's, and
-    gradient residuals travel the same edges upwards, so the full table is
-    touched once per top-level node, not once per root.
+    Axes are eliminated by min-fill, ties going to the fewest cells in the
+    eliminated clique and then to the lowest axis; the maximal elimination
+    cliques are joined by a maximum spanning tree on separator size (Prim's,
+    from the clique with most cells, ties to the earliest clique and edge).
+    Cliques come in the order Prim adds them, so clique 0 is the root and
+    every parent precedes its children.
+    """
+    def cells(axes) -> int:
+        return math.prod(shape[a] for a in axes)
+
+    neighbours = [set() for _ in shape]
+    for s in sets:
+        for a in s:
+            neighbours[a].update(b for b in s if b != a)
+    remaining = set(range(len(shape)))
+    maximal: list[tuple[int, ...]] = []
+    while remaining:
+        def cost(v: int) -> tuple[int, int, int]:
+            fill = sum(b not in neighbours[a] for a, b in combinations(sorted(neighbours[v]), 2))
+            return fill, cells(neighbours[v] | {v}), v
+
+        v = min(remaining, key=cost)
+        clique = neighbours[v] | {v}
+        # a later elimination clique never holds an earlier eliminated axis
+        if not any(clique <= set(c) for c in maximal):
+            maximal.append(tuple(sorted(clique)))
+        for a in neighbours[v]:
+            neighbours[a] |= neighbours[v] - {a}
+            neighbours[a].discard(v)
+        remaining.discard(v)
+
+    order = sorted(maximal, key=lambda c: (-cells(c), c))
+    cliques, parents = [order.pop(0)], [None]
+    while order:
+        j, i = max(
+            ((j, i) for j in range(len(order)) for i in range(len(cliques))),
+            key=lambda e: (len(set(order[e[0]]) & set(cliques[e[1]])), -e[0], -e[1]),
+        )
+        cliques.append(order.pop(j))
+        parents.append(i)
+    return cliques, parents
+
+
+class _FitPlan:
+    """How one component fit calibrates, reduces marginals and assembles
+    gradients.
+
+    The component's logits live on *cliques*: one clique of all axes (the
+    full table), or, when ``tree`` asks for it and it saves work, the
+    cliques of the measured sets' junction tree.  A clique tree is kept only
+    when its clique and separator cells, plus ``_CLIQUE_CELLS`` for each
+    clique after the first, are fewer than the full table's.  Each measured
+    set (repeats merged) is fitted in the clique with fewest cells that
+    holds it.
+
+    Within each clique the plan's nodes are its measured sets plus
+    *intermediates*.  In a clique of k axes, a root is a measured set of the
+    clique with no measured strict superset there.  While some root of arity
+    k-2 or less is not inside an intermediate, the unmeasured (k-1)-way
+    marginal that covers the most such roots becomes one (ties go to the
+    first in ``itertools.combinations`` order).  A clique's nodes are
+    ordered largest first and each takes as parent its smallest earlier
+    strict superset in the clique.  A node without one is top-level: it is
+    reduced from, and broadcast back into, the clique table.  Every other
+    marginal is summed from its parent's, and gradient residuals travel the
+    same edges upwards, so a clique table is touched once per top-level
+    node, not once per root.
 
     Every node's marginal is a view into one flat vector laid out as
     intermediates, then measured top-level nodes, then the other measured
@@ -119,46 +197,69 @@ class _FitPlan:
     per-cell weights ``alpha`` line up, and the top-level cells are another.
     The objective is one subtraction, one multiplication and one dot product
     over that slice, and the fit's line search reuses buffers it allocates
-    once per fit.
+    once per fit.  Clique tables (logits or calibrated masses) are views
+    into another flat vector of ``clique_size`` cells.
     """
 
-    def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], measurements: list[Measurement]):
+    def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], measurements: list[Measurement],
+                 tree: bool = False):
         k = len(comp)
         comp_pos = {a: i for i, a in enumerate(comp)}
         measured = {tuple(comp_pos[a] for a in m.query.attrs): m for m in _merge_same_query(measurements)}
-        roots = [s for s in measured if not any(set(s) < set(t) for t in measured)]
-        uncovered = [set(r) for r in roots if len(r) <= k - 2]
-        intermediates: list[tuple[int, ...]] = []
-        while uncovered:
-            best = max(
-                (c for c in combinations(range(k), k - 1) if c not in measured),
-                key=lambda c: sum(r <= set(c) for r in uncovered),
-            )
-            intermediates.append(best)
-            uncovered = [r for r in uncovered if not r <= set(best)]
 
-        def cells(axes: tuple[int, ...]) -> int:
+        def cells(axes) -> int:
             return math.prod(shape[a] for a in axes)
 
-        nodes = sorted(list(measured) + intermediates, key=lambda s: (-len(s), -cells(s), s))
-        full = list(range(k))
+        self.cliques: list[tuple[int, ...]] = [tuple(range(k))]
+        self.clique_parents: list[int | None] = [None]
+        if tree and cells(range(k)) > _CLIQUE_CELLS:
+            cliques, parents = _junction_tree(list(measured), shape)
+            tree_cells = sum(map(cells, cliques)) + sum(
+                cells(set(c) & set(cliques[p])) for c, p in zip(cliques[1:], parents[1:])
+            )
+            if tree_cells + _CLIQUE_CELLS * (len(cliques) - 1) < cells(range(k)):
+                self.cliques, self.clique_parents = cliques, parents
+
+        home: dict[tuple[int, ...], int] = {}
+        for c in sorted(range(len(self.cliques)), key=lambda c: cells(self.cliques[c])):
+            home.update((s, c) for s in measured if s not in home and set(s) <= set(self.cliques[c]))
+        nodes: list[tuple[int, ...]] = []
+        self.node_cliques: list[int] = []
+        for c, clique in enumerate(self.cliques):
+            own = [s for s in measured if home[s] == c]
+            roots = [s for s in own if not any(set(s) < set(t) for t in own)]
+            uncovered = [set(r) for r in roots if len(r) <= len(clique) - 2]
+            intermediates: list[tuple[int, ...]] = []
+            while uncovered:
+                best = max(
+                    (x for x in combinations(clique, len(clique) - 1) if x not in measured),
+                    key=lambda x: sum(r <= set(x) for r in uncovered),
+                )
+                intermediates.append(best)
+                uncovered = [r for r in uncovered if not r <= set(best)]
+            own_nodes = sorted(own + intermediates, key=lambda s: (-len(s), -cells(s), s))
+            nodes += own_nodes
+            self.node_cliques += [c] * len(own_nodes)
+
         self.parents: list[int | None] = []
         # einsum sublists (source axes, kept axes) of each reduction
         self.reductions: list[tuple[list[int], list[int]]] = []
-        # shape of a residual broadcast into its parent's (or the full) axes
+        # shape of a residual broadcast into its parent's (or its clique's) axes
         self.up_shapes: list[tuple[int, ...]] = []
         self.node_shapes = [tuple(shape[a] for a in keep) for keep in nodes]
         for i, keep in enumerate(nodes):
-            supersets = [j for j in range(i) if set(keep) < set(nodes[j])]
+            c = self.node_cliques[i]
+            supersets = [j for j in range(i) if self.node_cliques[j] == c and set(keep) < set(nodes[j])]
             parent = min(supersets, key=lambda j: cells(nodes[j])) if supersets else None
-            source = full if parent is None else list(nodes[parent])
+            source = list(self.cliques[c] if parent is None else nodes[parent])
             self.parents.append(parent)
             self.reductions.append((source, list(keep)))
             self.up_shapes.append(tuple(shape[a] if a in keep else 1 for a in source))
         self.tops = [i for i, parent in enumerate(self.parents) if parent is None]
+        self.clique_tops = [[i for i in self.tops if self.node_cliques[i] == c] for c in range(len(self.cliques))]
         self.intermediates = [i for i, keep in enumerate(nodes) if keep not in measured]
-        # step size scale: the merged weights summed in plan order
-        self.alpha_total = sum(measured[keep].weight for keep in nodes if keep in measured)
+        # step size scale: the merged weights summed largest set first
+        self.alpha_total = sum(measured[s].weight for s in sorted(measured, key=lambda s: (-len(s), -cells(s), s)))
 
         # flat layout: intermediates, measured top-level nodes, other measured nodes
         layout = sorted(range(len(nodes)), key=lambda i: (nodes[i] in measured, self.parents[i] is not None))
@@ -175,6 +276,35 @@ class _FitPlan:
         self.y = np.concatenate([m.noisy_counts for m in ordered])
         self.alpha = np.concatenate([np.full(m.query.cardinality, m.weight) for m in ordered])
 
+        # clique tables, and each clique's separator with its parent
+        self.shape = shape
+        self.clique_shapes = [tuple(shape[a] for a in clique) for clique in self.cliques]
+        self.clique_offsets = list(accumulate((cells(c) for c in self.cliques), initial=0))
+        self.clique_size = self.clique_offsets[-1]
+        self.full_shapes = [tuple(n if a in clique else 1 for a, n in enumerate(shape)) for clique in self.cliques]
+        # per non-root clique: einsum sublists reducing its parent, and the
+        # clique itself, to the separator, and the separator's shape on its
+        # own, inside the clique (ones on the other axes) and inside the parent
+        self.sep_reductions: list[tuple[list[int], list[int]] | None] = [None]
+        self.sep_sums: list[tuple[list[int], list[int]] | None] = [None]
+        self.sep_shapes: list[tuple[int, ...] | None] = [None]
+        self.sep_in_clique: list[tuple[int, ...] | None] = [None]
+        self.sep_in_parent: list[tuple[int, ...] | None] = [None]
+        self.drop_axes: list[tuple[int, ...] | None] = [None]
+        for clique, parent in zip(self.cliques[1:], self.clique_parents[1:]):
+            sep = [a for a in clique if a in self.cliques[parent]]
+            self.sep_reductions.append((list(self.cliques[parent]), sep))
+            self.sep_sums.append((list(clique), sep))
+            self.sep_shapes.append(tuple(shape[a] for a in sep))
+            self.sep_in_clique.append(tuple(shape[a] if a in sep else 1 for a in clique))
+            self.sep_in_parent.append(tuple(shape[a] if a in sep else 1 for a in self.cliques[parent]))
+            self.drop_axes.append(tuple(i for i, a in enumerate(clique) if a not in sep))
+        self.children = [[j for j, p in enumerate(self.clique_parents) if p == c] for c in range(len(self.cliques))]
+        # calibration buffers of each non-root clique: separator maxima,
+        # upward sums, log-domain messages and parent margins, each shaped
+        # inside the clique (ones on its other axes)
+        self._buffers = [None] + [tuple(np.empty(s) for _ in range(4)) for s in self.sep_in_clique[1:]]
+
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each node's cells in the flat vector ``flat``, shaped, in plan order."""
         return [
@@ -182,14 +312,81 @@ class _FitPlan:
             for offset, node_shape in zip(self.offsets, self.node_shapes)
         ]
 
-    def marginals(self, p: np.ndarray, views: list[np.ndarray]) -> None:
-        """Write every node's marginal of the full table ``p`` into ``views``."""
-        for i, (parent, reduction) in enumerate(zip(self.parents, self.reductions)):
-            np.einsum(p if parent is None else views[parent], *reduction, out=views[i])
+    def clique_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each clique's table in ``flat`` (``clique_size`` cells, or the full
+        table of a one-clique plan), shaped."""
+        flat = flat.reshape(-1)
+        return [
+            flat[start:stop].reshape(clique_shape)
+            for start, stop, clique_shape in zip(self.clique_offsets, self.clique_offsets[1:], self.clique_shapes)
+        ]
 
-    def gradient(self, residuals: list[np.ndarray], grad: np.ndarray) -> None:
-        """Write the sum of the measured residuals, broadcast over the full
-        table, into ``grad``.
+    def calibrate(self, thetas: list[np.ndarray], total: float, beliefs: list[np.ndarray]) -> None:
+        """Write the mass-``total`` marginal of each clique of the
+        distribution proportional to ``exp(sum of clique logits)`` into
+        ``beliefs``.  A one-clique plan is the full-table softmax, which
+        shifts the logits in place so their maximum is zero.
+
+        On a tree, messages go up in the log domain.  A clique with children
+        shifts each separator cell's slice by its own maximum, so no cell
+        underflows that the full table would keep; a leaf does so only when
+        one shift for the clique leaves a separator sum below ``_SUM_FLOOR``.
+        The root is normalized, and the downward pass is Hugin's: each child
+        scales its upward table by the parent's separator marginal over the
+        separator's upward sum.
+        """
+        if len(thetas) == 1:
+            _softmax_mass(thetas[0], total, beliefs[0])
+            return
+        for c in reversed(range(len(thetas))):
+            belief = beliefs[c]
+            children = self.children[c]
+            if children:
+                np.add(thetas[c], self._buffers[children[0]][2].reshape(self.sep_in_parent[children[0]]), out=belief)
+                for child in children[1:]:
+                    belief += self._buffers[child][2].reshape(self.sep_in_parent[child])
+            if c == 0:
+                _softmax_mass(belief, total, belief)
+                break
+            maxima, sums, message, _ = self._buffers[c]
+            source = belief if children else thetas[c]
+            if not children:
+                # a leaf keeps its logits, so it tries one shift for the whole
+                # clique first and redoes the pass if a separator slice underflows
+                shift = source.max()
+                self._upward(c, source, shift, belief)
+                if sums.min() >= _SUM_FLOOR:
+                    np.log(sums, out=message)
+                    message += shift
+                    continue
+            np.maximum.reduce(source, axis=self.drop_axes[c], keepdims=True, out=maxima)
+            self._upward(c, source, maxima, belief)
+            np.log(sums, out=message)
+            message += maxima
+        for c in range(1, len(thetas)):
+            _, sums, _, margin = self._buffers[c]
+            np.einsum(beliefs[self.clique_parents[c]], *self.sep_reductions[c],
+                      out=margin.reshape(self.sep_shapes[c]))
+            margin /= sums
+            beliefs[c] *= margin
+
+    def _upward(self, c: int, source: np.ndarray, shift: np.ndarray | float, belief: np.ndarray) -> None:
+        """Write ``exp(source - shift)`` into clique ``c``'s ``belief`` and
+        its sums over each separator cell into the clique's sum buffer."""
+        np.subtract(source, shift, out=belief)
+        np.exp(belief, out=belief)
+        np.einsum(belief, *self.sep_sums[c], out=self._buffers[c][1].reshape(self.sep_shapes[c]))
+
+    def marginals(self, beliefs: list[np.ndarray], views: list[np.ndarray]) -> None:
+        """Write every node's marginal, from the clique tables ``beliefs``,
+        into ``views``."""
+        for i, (parent, reduction) in enumerate(zip(self.parents, self.reductions)):
+            source = beliefs[self.node_cliques[i]] if parent is None else views[parent]
+            np.einsum(source, *reduction, out=views[i])
+
+    def gradient(self, residuals: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Write the sum of the measured residuals, broadcast over each
+        clique, into that clique's table in ``grads``.
 
         Zeroes the intermediates' residuals and then adds each non-top
         residual into its parent's in place, smallest first, so afterwards
@@ -202,13 +399,56 @@ class _FitPlan:
             parent = self.parents[i]
             if parent is not None:
                 residuals[parent] += residuals[i].reshape(self.up_shapes[i])
-        up = [residuals[r].reshape(self.up_shapes[r]) for r in self.tops]
-        if len(up) == 1:
-            np.copyto(grad, up[0])
-            return
-        np.add(up[0], up[1], out=grad)
-        for r in up[2:]:
-            grad += r
+        for grad, tops in zip(grads, self.clique_tops):
+            up = [residuals[r].reshape(self.up_shapes[r]) for r in tops]
+            if not up:
+                grad.fill(0.0)
+            elif len(up) == 1:
+                np.copyto(grad, up[0])
+            else:
+                np.add(up[0], up[1], out=grad)
+                for r in up[2:]:
+                    grad += r
+
+    def split(self, init_logits: np.ndarray, total: float) -> np.ndarray | None:
+        """Flat clique logits that reproduce the full-table logits
+        ``init_logits``, or ``None`` when the distribution they give is not
+        Markov on the tree (to ``_SPLIT_RTOL`` per cell).
+
+        Each clique takes the log of its marginal, less the log of its
+        separator's, so the clique tables multiply back to the distribution
+        exactly when it factorizes over the tree.
+        """
+        theta = init_logits.astype(np.float64)
+        if len(self.cliques) == 1:
+            return theta.reshape(-1)
+        table = np.empty(self.shape)
+        _softmax_mass(theta, total, table)
+        full = list(range(len(self.shape)))
+        margins = [np.einsum(table, full, list(clique)) for clique in self.cliques]
+        split = np.empty(self.clique_size)
+        rebuilt = theta  # reused: the clique logits summed over the full table
+        for c, psi in enumerate(self.clique_views(split)):
+            np.log(np.maximum(margins[c], _LOG_FLOOR), out=psi)
+            if c:
+                margin = np.einsum(margins[self.clique_parents[c]], *self.sep_reductions[c])
+                psi -= np.log(np.maximum(margin, _LOG_FLOOR)).reshape(self.sep_in_clique[c])
+                rebuilt += psi.reshape(self.full_shapes[c])
+            else:
+                np.copyto(rebuilt, psi.reshape(self.full_shapes[c]))
+        _softmax_mass(rebuilt, total, rebuilt)
+        rebuilt -= table
+        np.abs(rebuilt, out=rebuilt)
+        table *= _SPLIT_RTOL
+        return split if (rebuilt <= table).all() else None
+
+    def tree(self, comp: tuple[int, ...], beliefs: list[np.ndarray]) -> "_CliqueTree":
+        """The calibrated clique tables ``beliefs`` as a component's tree."""
+        separators = [None] + [
+            np.einsum(beliefs[p], *reduction) for p, reduction in zip(self.clique_parents[1:], self.sep_reductions[1:])
+        ]
+        cliques = [tuple(comp[a] for a in clique) for clique in self.cliques]
+        return _CliqueTree(comp, cliques, self.clique_parents, beliefs, separators)
 
 
 def _merge_same_query(measurements: list[Measurement]) -> list[Measurement]:
@@ -243,10 +483,25 @@ def _fit_component(
     iterations: int,
     tolerance: float,
     init_logits: np.ndarray | None,
-) -> tuple[np.ndarray, list[float]]:
-    plan = _FitPlan(comp, shape, measurements)
-    theta = np.zeros(shape) if init_logits is None else init_logits.astype(np.float64)
-    theta_new, p, p_new, grad = (np.empty(shape) for _ in range(4))
+) -> tuple["_CliqueTree", list[float]]:
+    """Fit one component; returns its calibrated tree and objective trace.
+
+    ``init_logits`` are full-table logits.  On a clique tree they are split
+    into clique logits; logits that do not factorize over the tree fit the
+    component as one clique.
+    """
+    plan = _FitPlan(comp, shape, measurements, tree=True)
+    if init_logits is None:
+        theta = np.zeros(plan.clique_size)
+    else:
+        theta = plan.split(init_logits, total)
+        if theta is None:  # the warm start does not factorize over the tree
+            plan = _FitPlan(comp, shape, measurements)
+            theta = plan.split(init_logits, total)
+    theta_new, grad = np.empty(plan.clique_size), np.empty(plan.clique_size)
+    thetas, thetas_new, grads = map(plan.clique_views, (theta, theta_new, grad))
+    # clique tables of the accepted point and of the trial point
+    ps, ps_new = (plan.clique_views(np.empty(plan.clique_size)) for _ in range(2))
     # node marginals of the accepted point and of the trial point
     flat, flat_new = np.empty(plan.size), np.empty(plan.size)
     views, views_new = plan.views(flat), plan.views(flat_new)
@@ -261,14 +516,14 @@ def _fit_component(
         np.multiply(diff, plan.alpha, out=weighted)
         return float(np.dot(weighted, diff))
 
-    _softmax_mass(theta, total, p)
-    plan.marginals(p, views)
+    plan.calibrate(thetas, total, ps)
+    plan.marginals(ps, views)
     obj = objective(flat)
     trace = [obj]
     step = 2.0 / plan.alpha_total
     for _ in range(iterations):
         np.multiply(weighted, 2.0, out=residual[plan.measured_cells])
-        plan.gradient(residual_views, grad)
+        plan.gradient(residual_views, grads)
         # backtracking line search with Armijo sufficient decrease; a clean
         # first-try acceptance lets the step regrow next iteration
         accepted = False
@@ -276,8 +531,8 @@ def _fit_component(
         for _ in range(80):
             np.multiply(grad, step, out=theta_new)
             np.subtract(theta, theta_new, out=theta_new)
-            _softmax_mass(theta_new, total, p_new)
-            plan.marginals(p_new, views_new)
+            plan.calibrate(thetas_new, total, ps_new)
+            plan.marginals(ps_new, views_new)
             obj_new = objective(flat_new)
             # <grad, p - p_new>, evaluated on the top-level marginals
             np.subtract(flat[plan.top_cells], flat_new[plan.top_cells], out=moved)
@@ -293,24 +548,139 @@ def _fit_component(
             step *= 2.0
         decrease = obj - obj_new
         # ``weighted`` already holds the accepted point's values
-        theta, theta_new, p, p_new = theta_new, theta, p_new, p
+        theta, theta_new, thetas, thetas_new = theta_new, theta, thetas_new, thetas
+        ps, ps_new = ps_new, ps
         flat, flat_new, views, views_new = flat_new, flat, views_new, views
         obj = obj_new
         trace.append(obj)
         if decrease <= tolerance * max(trace[-2], 1e-300):
             break
-    return p, trace
+    return plan.tree(comp, ps), trace
+
+
+class _CliqueTree:
+    """One component's distribution as calibrated clique tables and the
+    separator table between each clique and its parent.
+
+    Every clique and separator table holds that set's marginal counts, so
+    the full table is the product of the clique tables over the product of
+    the separator tables.  A full table is a tree of one clique.  Cliques
+    are attribute tuples of the component, clique 0 is the root and each
+    clique's parent precedes it.
+    """
+
+    def __init__(self, comp: tuple[int, ...], cliques: list[tuple[int, ...]], parents: list[int | None],
+                 beliefs: list[np.ndarray], separators: list[np.ndarray | None]):
+        self.comp = comp
+        self.cliques = cliques
+        self.parents = parents
+        self.beliefs = beliefs
+        self.separators = separators
+
+    @classmethod
+    def full(cls, comp: tuple[int, ...], table: np.ndarray) -> "_CliqueTree":
+        return cls(comp, [comp], [None], [np.asarray(table)], [None])
+
+    def scaled(self, factor: float) -> "_CliqueTree":
+        return _CliqueTree(self.comp, self.cliques, self.parents, [b * factor for b in self.beliefs],
+                           [None] + [s * factor for s in self.separators[1:]])
+
+    def _conditional(self, c: int) -> np.ndarray:
+        """Clique ``c``'s table over its separator's, zero where that is zero."""
+        belief, parent = self.beliefs[c], self.cliques[self.parents[c]]
+        sep = self.separators[c].reshape(
+            tuple(n if a in parent else 1 for a, n in zip(self.cliques[c], belief.shape))
+        )
+        return np.divide(belief, sep, out=np.zeros(belief.shape), where=sep > 0)
+
+    def _factors(self, used: Sequence[int]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+        """The root's table and the conditionals of the other cliques in
+        ``used``, each with its attributes."""
+        return [(self.beliefs[0] if c == 0 else self._conditional(c), self.cliques[c]) for c in used]
+
+    def table(self) -> np.ndarray:
+        """The full table over the component, built on each call of a tree."""
+        out = None
+        for factor, attrs in self._factors(range(len(self.cliques))):
+            factor = factor.reshape(tuple(factor.shape[attrs.index(a)] if a in attrs else 1 for a in self.comp))
+            out = factor if out is None else out * factor
+        return out
+
+    def marginal(self, attrs: tuple[int, ...]) -> np.ndarray:
+        """Marginal counts over ``attrs`` (sorted attributes of the
+        component): summed inside the smallest clique that holds them, or
+        else contracted, leaves first, over the cliques on their paths to
+        the root."""
+        inside = [c for c, clique in enumerate(self.cliques) if set(attrs) <= set(clique)]
+        if inside:
+            c = min(inside, key=lambda c: self.beliefs[c].size)
+            drop = tuple(i for i, a in enumerate(self.cliques[c]) if a not in attrs)
+            return self.beliefs[c].sum(axis=drop) if drop else self.beliefs[c]
+        used = set()
+        for a in attrs:
+            c = next(c for c, clique in enumerate(self.cliques) if a in clique)
+            while c is not None and c not in used:
+                used.add(c)
+                c = self.parents[c]
+        used = sorted(used)
+        label = {a: i for i, a in enumerate(self.comp)}
+        messages: dict[int, tuple[np.ndarray, list[int]]] = {}
+        for (factor, clique), c in reversed(list(zip(self._factors(used), used))):
+            operands = [(factor, list(clique))] + [messages.pop(j) for j in used if self.parents[j] == c]
+            held = {a for _, axes in operands for a in axes}
+            keep = set(attrs) if c == 0 else set(self.cliques[self.parents[c]]) | set(attrs)
+            out_axes = [a for a in self.comp if a in held and a in keep]
+            args = [x for array, axes in operands for x in (array, [label[a] for a in axes])]
+            messages[c] = (np.einsum(*args, [label[a] for a in out_axes]), out_axes)
+        return messages[0][0]
+
+    def at(self, rows: np.ndarray) -> np.ndarray:
+        """The full table's value at each row of ``rows`` (domain-wide
+        attribute codes)."""
+        values = None
+        for factor, attrs in self._factors(range(len(self.cliques))):
+            idx = np.ravel_multi_index(tuple(rows[:, a] for a in attrs), dims=factor.shape)
+            picked = factor.reshape(-1)[idx]
+            values = picked if values is None else values * picked
+        return values
+
+
+class _ComponentMap(Mapping):
+    """Read-only mapping from components to arrays built on each access."""
+
+    def __init__(self, components: Sequence[tuple[int, ...]], build: Callable[[tuple[int, ...]], np.ndarray]):
+        self._components = tuple(components)
+        self._build = build
+
+    def __getitem__(self, comp: tuple[int, ...]) -> np.ndarray:
+        if comp not in self._components:
+            raise KeyError(comp)
+        return self._build(comp)
+
+    def __contains__(self, comp: object) -> bool:
+        return comp in self._components
+
+    def __iter__(self):
+        return iter(self._components)
+
+    def __len__(self) -> int:
+        return len(self._components)
 
 
 class ModelState:
-    """Fitted nonnegative distribution factorized over components."""
+    """Fitted nonnegative distribution factorized over components.
+
+    ``tables`` maps components to full tables or to fitted clique trees;
+    each component is kept as a tree (a full table being a one-clique tree)
+    in ``trees``, and components with no entry are uniform.
+    """
 
     def __init__(
         self,
         domain: Domain,
         total: float,
         measured_components: Sequence[tuple[int, ...]],
-        tables: dict[tuple[int, ...], np.ndarray],
+        tables: dict[tuple[int, ...], np.ndarray | _CliqueTree],
         meta: dict | None = None,
     ):
         self.domain = domain
@@ -323,18 +693,28 @@ class ModelState:
                 + [(a,) for a in range(len(domain)) if a not in covered]
             )
         )
-        self.tables = dict(tables)
+        self.trees = {
+            comp: tree if isinstance(tree, _CliqueTree) else _CliqueTree.full(comp, tree)
+            for comp, tree in tables.items()
+        }
         for comp in self.components:
-            if comp not in self.tables:
+            if comp not in self.trees:
                 size = domain.size(comp)
-                self.tables[comp] = np.full(domain.shape(comp), self.total / size)
+                self.trees[comp] = _CliqueTree.full(comp, np.full(domain.shape(comp), self.total / size))
         self.meta = meta or {}
 
     @property
-    def logits(self) -> dict[tuple[int, ...], np.ndarray]:
+    def tables(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Full table of each component, built on access."""
+        return _ComponentMap(self.components, lambda c: self.trees[c].table())
+
+    @property
+    def logits(self) -> Mapping[tuple[int, ...], np.ndarray]:
         """``log(table)`` of each measured component, built on access; softmax
         is shift-invariant, so these seed a fit like the fitted logits."""
-        return {c: np.log(np.maximum(self.tables[c], _LOG_FLOOR)) for c in self.measured_components}
+        return _ComponentMap(
+            self.measured_components, lambda c: np.log(np.maximum(self.trees[c].table(), _LOG_FLOOR))
+        )
 
     @classmethod
     def uniform(cls, domain: Domain, total: float = 1.0) -> "ModelState":
@@ -348,10 +728,7 @@ class ModelState:
             inter = tuple(a for a in comp if a in wanted)
             if not inter:
                 continue
-            keep = tuple(i for i, a in enumerate(comp) if a in wanted)
-            drop = tuple(i for i in range(len(comp)) if i not in set(keep))
-            part = self.tables[comp].sum(axis=drop) if drop else self.tables[comp]
-            groups.append((inter, part / self.total))
+            groups.append((inter, self.trees[comp].marginal(inter) / self.total))
         joint = groups[0][1]
         order = list(groups[0][0])
         for attrs, part in groups[1:]:
@@ -362,14 +739,15 @@ class ModelState:
         return joint.reshape(-1) * self.total
 
     def sample(self, n_rows: int, rng: np.random.Generator) -> DiscreteDataset:
-        """Draw i.i.d. rows, each component sampled independently."""
+        """Draw i.i.d. rows, each component sampled independently from its
+        full table."""
         if n_rows < 0:
             raise ValueError("n_rows must be >= 0")
         rows = np.zeros((n_rows, len(self.domain)), dtype=np.int64)
         if n_rows == 0:
             return DiscreteDataset(self.domain, rows, validate=False)
-        for comp in self.components:
-            flat = self.tables[comp].reshape(-1)
+        for comp, table in self.tables.items():
+            flat = table.reshape(-1)
             probs = np.clip(flat, 0.0, None)
             probs = probs / probs.sum()
             cells = rng.choice(flat.size, size=n_rows, p=probs)
@@ -384,15 +762,12 @@ class ModelState:
             raise ValueError("holdout must be non-empty")
         logp = np.zeros(holdout.n_records)
         for comp in self.components:
-            flat = self.tables[comp].reshape(-1) / self.total
-            idx = np.ravel_multi_index(
-                tuple(holdout.rows[:, a] for a in comp), dims=self.domain.shape(comp)
-            )
-            logp += np.log(np.maximum(flat[idx], NLL_FLOOR))
+            logp += np.log(np.maximum(self.trees[comp].at(holdout.rows) / self.total, NLL_FLOOR))
         return float(-logp.mean())
 
     def size_bytes(self, candidate: MarginalQuery | None = None) -> int:
-        """Model size (bytes) after hypothetically measuring ``candidate``."""
+        """Model size (bytes) after hypothetically measuring ``candidate``,
+        counted as full component tables."""
         extra = candidate.attrs if candidate is not None else None
         return component_bytes(self.domain, merged_components(self.measured_components, extra))
 
@@ -448,7 +823,7 @@ def fit(
         if domain.size(comp) > MAX_CELLS:
             raise ComponentTooLargeError(comp, domain.size(comp), MAX_CELLS)
 
-    tables: dict[tuple[int, ...], np.ndarray] = {}
+    trees: dict[tuple[int, ...], _CliqueTree] = {}
     traces: dict[tuple[int, ...], list[float]] = {}
     signatures: dict[tuple[int, ...], bytes] = {}
     prev_sigs = warm_start.meta.get("comp_signatures", {}) if warm_start is not None else {}
@@ -460,11 +835,11 @@ def fit(
         if warm_start is not None and prev_sigs.get(comp) == sig and comp in warm_start.measured_components:
             # measurement set and fit settings unchanged: carry the component
             # over, rescaled to the new total mass
-            tables[comp] = warm_start.tables[comp] * (total / warm_start.total)
+            trees[comp] = warm_start.trees[comp].scaled(total / warm_start.total)
             traces[comp] = warm_start.meta["objective_traces"][comp][-1:]
             continue
         init = _warm_logits(comp, shape, warm_start) if warm_start is not None else None
-        tables[comp], traces[comp] = _fit_component(
+        trees[comp], traces[comp] = _fit_component(
             comp, shape, local, total, iterations, tolerance, init
         )
     meta = {
@@ -472,7 +847,7 @@ def fit(
         "n_measurements": len(measurements),
         "comp_signatures": signatures,
     }
-    return ModelState(domain, total, comps, tables, meta)
+    return ModelState(domain, total, comps, trees, meta)
 
 
 def _warm_logits(

@@ -228,3 +228,40 @@ def test_epsilon_override(tmp_path):
     written = json.loads((tmp_path / "out" / "config.json").read_text())
     assert written["protocol"]["epsilon"] == 1.0
     assert written["repeats"] == 1
+
+
+def _write_results(directory, rows):
+    os.makedirs(directory, exist_ok=True)
+    results = [harness.RunResult(config_hash=h, method=m, seed=s, error_normalized=e, nll=n)
+               for h, m, s, e, n in rows]
+    (directory / "results.csv").write_text(harness.results_to_csv(results))
+
+
+def test_compare_pairs_rows_by_config_method_and_seed(tmp_path, capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    _write_results(before, [("c1", "aim", s, 1.0 + s, 2.0) for s in range(4)]
+                   + [("c1", "distaim", 0, 0.5, 3.0), ("c2", "aim", 0, 9.0, 9.0)])
+    # one run per seed improves aim's error by 0.25 and leaves its nll; the
+    # distaim run is worse; c2 and seed 9 have no partner
+    _write_results(after / "aim", [("c1", "aim", s, 0.75 + s, 2.0) for s in range(4)]
+                   + [("c1", "aim", 9, 0.0, 0.0)])
+    _write_results(after / "distaim", [("c1", "distaim", 0, 0.75, 3.5)])
+    assert main(["compare", str(before), str(after)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("5 paired runs")
+    assert ("aim error_normalized: n=4 before=2.5000 after=2.2500 delta=-0.25 [-0.25, -0.25] "
+            "wins=4 losses=0 *") in out
+    assert "aim nll: n=4 before=2.0000 after=2.0000 delta=+0 [+0, +0] wins=0 losses=0\n" in out
+    assert "distaim error_normalized: n=1 before=0.5000 after=0.7500 delta=+0.25" in out
+    assert "distaim nll: n=1 before=3.0000 after=3.5000 delta=+0.5 [+0.5, +0.5] wins=0 losses=1 *" in out
+    # the bootstrap is seeded: the same inputs print the same report
+    assert main(["compare", str(before), str(after)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_compare_exits_one_when_nothing_pairs(tmp_path, capsys):
+    _write_results(tmp_path / "a", [("c1", "aim", 0, 1.0, 1.0)])
+    _write_results(tmp_path / "b", [("c1", "aim", 1, 1.0, 1.0)])
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "no (config_hash, method, seed) row pairs" in capsys.readouterr().err
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "missing")]) == 1

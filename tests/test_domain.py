@@ -36,6 +36,24 @@ def test_query_validation():
         MarginalQuery(attrs=(), cardinality=1)
 
 
+def test_unvalidated_dataset_takes_rows_as_given():
+    dom = small_domain()
+    rows = np.array([[0, 2, 1], [1, 0, 0]], dtype=np.int64)
+    want = rows.copy()
+    data = DiscreteDataset(dom, rows, validate=False)
+    np.testing.assert_array_equal(data.rows, want)
+    assert np.shares_memory(data.rows, rows)
+    assert not data.rows.flags.writeable
+    with pytest.raises(ValueError):
+        data.rows[0, 0] = 1
+    # a validated dataset keeps its own copy, also read-only
+    checked = DiscreteDataset(dom, want)
+    assert not np.shares_memory(checked.rows, want) and not checked.rows.flags.writeable
+    subset = data.subset(np.array([1]))
+    np.testing.assert_array_equal(subset.rows, want[[1]])
+    assert not subset.rows.flags.writeable
+
+
 def test_dataset_range_checks():
     dom = small_domain()
     with pytest.raises(ValueError):

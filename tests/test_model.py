@@ -449,7 +449,7 @@ def _check_plan_against_direct_reduction(plan, comp, shape, rng):
     p = rng.uniform(0, 1, size=shape)
     flat = np.empty(plan.size)
     views = plan.views(flat)
-    plan.marginals(p, views)
+    plan.marginals(plan.clique_views(p), views)
     drops = [tuple(i for i in range(len(comp)) if i not in keep) for _, keep in plan.reductions]
     for marginal, drop in zip(views, drops):
         np.testing.assert_allclose(marginal, p.sum(axis=drop), rtol=1e-12, atol=0)
@@ -463,7 +463,7 @@ def _check_plan_against_direct_reduction(plan, comp, shape, rng):
         if i not in plan.intermediates:
             want = want + np.expand_dims(residuals[i], drop)
     got = np.empty(shape)
-    plan.gradient(residuals, got)
+    plan.gradient(residuals, plan.clique_views(got))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -512,6 +512,9 @@ def test_fit_plan_reduces_a_benchmark_component_from_three_nodes():
     plan = _FitPlan(comp, dom.shape(comp), measurements)
     assert len(plan.tops) <= 3
     _check_plan_against_direct_reduction(plan, comp, dom.shape(comp), rng)
+    # every pair of its attributes is measured together, so its junction tree
+    # is the full table itself
+    assert _FitPlan(comp, dom.shape(comp), measurements, tree=True).cliques == [tuple(range(5))]
 
 
 def reference_fit(comp, shape, measurements, total, iterations, tolerance, init):
@@ -579,8 +582,9 @@ def test_fit_component_matches_direct_reduction_reference(seed):
     init = rng.normal(0, 1, size=shape) if seed % 4 < 2 else None
     tolerance = 1e-4 if seed < 6 else 1e-5
     want_p, want_trace = reference_fit(comp, shape, measurements, total, 300, tolerance, init)
-    got_p, got_trace = _fit_component(comp, shape, measurements, total, 300, tolerance,
-                                      None if init is None else init.copy())
+    got, got_trace = _fit_component(comp, shape, measurements, total, 300, tolerance,
+                                    None if init is None else init.copy())
+    got_p = got.table()
     assert len(got_trace) == len(want_trace)
     np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
     np.testing.assert_allclose(got_p, want_p, rtol=1e-10, atol=0)
@@ -609,7 +613,7 @@ def test_warm_start_from_tables_matches_stored_logits():
     # decides when the line search gives up
     model = fit(measurements, dom, iterations=20, tolerance=0.0, total=total, warm_start=previous)
     init = theta_a[:, :, None, None] + theta_b[None, None, :, :]
-    want, _ = _fit_component((0, 1, 2, 3), (3, 2, 4, 2), measurements, total, 20, 0.0, init)
+    want = _fit_component((0, 1, 2, 3), (3, 2, 4, 2), measurements, total, 20, 0.0, init)[0].table()
     np.testing.assert_allclose(model.tables[(0, 1, 2, 3)], want, rtol=1e-10, atol=0)
 
 
@@ -637,3 +641,222 @@ def test_warm_start_reuse_needs_exact_inputs(monkeypatch):
     collided = fit([first], dom, iterations=200)
     got = fit([second], dom, iterations=200, warm_start=collided)
     np.testing.assert_array_equal(got.tables[(0, 1)], want.tables[(0, 1)])
+
+
+# --- junction trees ------------------------------------------------------------------
+
+
+def _random_sets(rng, k):
+    """Seeded measured sets over ``k`` axes: a cycle through every axis (so
+    triangulation must add fill), a few random pairs and triples, and
+    singletons."""
+    order = [int(a) for a in rng.permutation(k)]
+    sets = {tuple(sorted((order[i], order[(i + 1) % k]))) for i in range(k)}
+    for _ in range(int(rng.integers(0, 3))):
+        sets.add(tuple(sorted(int(a) for a in rng.choice(k, size=int(rng.integers(2, 4)), replace=False))))
+    sets.update((a,) for a in range(k))
+    return sorted(sets)
+
+
+def _check_junction_tree(sets, cliques, parents):
+    assert parents[0] is None and all(p is not None and p < c for c, p in enumerate(parents) if c)
+    # every measured set inside a clique, every clique maximal
+    assert all(any(set(s) <= set(c) for c in cliques) for s in sets)
+    assert not any(set(a) <= set(b) for i, a in enumerate(cliques) for j, b in enumerate(cliques) if i != j)
+    # running intersection: the cliques holding an axis form one subtree,
+    # so exactly one of them has a parent that does not hold it
+    for a in {a for s in sets for a in s}:
+        holding = [c for c, clique in enumerate(cliques) if a in clique]
+        tops = [c for c in holding if parents[c] is None or a not in cliques[parents[c]]]
+        assert len(tops) == 1, (a, cliques, parents)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_junction_tree_covers_sets_with_running_intersection(seed):
+    from fedsynth.model import _junction_tree
+
+    rng = fork(seed, "junction-tree")
+    k = int(rng.integers(4, 9))
+    shape = tuple(int(n) for n in rng.integers(2, 6, size=k))
+    sets = _random_sets(rng, k)
+    cliques, parents = _junction_tree(sets, shape)
+    _check_junction_tree(sets, cliques, parents)
+    # a cycle of four or more axes has no clique of two: fill was added
+    assert max(len(c) for c in cliques) >= 3
+    # deterministic, and independent of the order the sets come in
+    assert _junction_tree(list(reversed(sets)), shape) == (cliques, parents)
+    assert _junction_tree([sets[i] for i in rng.permutation(len(sets))], shape) == (cliques, parents)
+
+
+def test_junction_tree_of_a_cycle_is_pinned():
+    from fedsynth.model import _junction_tree
+
+    # every axis needs one fill edge; axis 1 (24 cells with its neighbours)
+    # goes first and adds 0-2, then axis 2 (40 cells) adds 0-3
+    five_cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    assert _junction_tree(five_cycle, (2, 3, 4, 5, 6)) == (
+        [(0, 3, 4), (0, 2, 3), (0, 1, 2)], [None, 0, 1]
+    )
+
+
+CHAIN = [(0, 1), (1, 2), (2, 3), (0,), (3,)]
+STAR = [(0, 1), (0, 2), (0, 3), (1,), (2,), (3,)]
+CYCLE = [(0, 1), (1, 2), (2, 3), (0, 3), (0,), (2,)]
+FIVE_CYCLE = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]
+
+
+def _tree_case(seed, sets, cards):
+    rng = fork(seed, "tree-fit")
+    dom = domain(cards)
+    data = DiscreteDataset(dom, rng.integers(0, dom.cardinalities, size=(2000, len(cards))))
+    measurements = []
+    for attrs in sets:
+        q = MarginalQuery.make(dom, attrs)
+        noisy = evaluate_marginal(data, q) + rng.normal(0, 3, q.cardinality)
+        measurements.append(Measurement(0, q, noisy, 3.0, float(rng.uniform(0.2, 1.5))))
+    return dom, measurements
+
+
+@pytest.mark.parametrize("sets, cards, n_cliques", [
+    (CHAIN, [12] * 4, 3), (STAR, [12] * 4, 3), (CYCLE, [12] * 4, 2), (FIVE_CYCLE, [8] * 5, 3),
+])
+@pytest.mark.parametrize("seed", range(2))
+def test_tree_fit_matches_reference_cold(sets, cards, n_cliques, seed):
+    from fedsynth.model import _fit_component
+
+    dom, measurements = _tree_case(seed, sets, cards)
+    comp, shape = tuple(range(len(cards))), dom.shape(range(len(cards)))
+    total = estimate_total(measurements)
+    tolerance = 1e-5 if seed else 1e-7
+    want_p, want_trace = reference_fit(comp, shape, measurements, total, 300, tolerance, None)
+    got, got_trace = _fit_component(comp, shape, measurements, total, 300, tolerance, None)
+    assert len(got.cliques) == n_cliques
+    assert len(got_trace) == len(want_trace)
+    np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got.table(), want_p, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("sets, cards, parts", [
+    (CHAIN, [12] * 4, [[(0, 1), (0,)], [(2, 3), (3,)]]),
+    (STAR, [12] * 4, [[(0, 1), (1,)], [(2,)], [(0, 3), (3,)]]),
+    (CYCLE, [12] * 4, [[(0, 1), (1, 2), (0,), (2,)], [(3,)]]),
+    (FIVE_CYCLE, [8] * 5, [[(0, 1), (1, 2), (0, 2)], [(3, 4)]]),
+])
+def test_tree_fit_matches_reference_warm_started_from_fitted_parts(sets, cards, parts):
+    """Warm starts are products of earlier fitted components, which factor
+    over the tree, so the fit stays on it."""
+    from fedsynth.model import _fit_component, _warm_logits
+
+    dom, measurements = _tree_case(7, sets + [a for part in parts for a in part], cards)
+    by_attrs = {m.query.attrs: m for m in measurements}
+    total = estimate_total(measurements)
+    previous = fit([by_attrs[a] for part in parts for a in part], dom, iterations=40, total=total)
+    comp, shape = tuple(range(len(cards))), dom.shape(range(len(cards)))
+    init = _warm_logits(comp, shape, previous)
+    want_p, want_trace = reference_fit(comp, shape, measurements, total, 100, 1e-6, init)
+    got, got_trace = _fit_component(comp, shape, measurements, total, 100, 1e-6, init.copy())
+    assert len(got.cliques) > 1
+    assert len(got_trace) == len(want_trace)
+    np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got.table(), want_p, rtol=1e-10, atol=0)
+
+
+def test_non_markov_warm_start_fits_one_clique():
+    from fedsynth.model import _FitPlan, _fit_component
+
+    dom, measurements = _tree_case(3, CHAIN, [12] * 4)
+    comp, shape = (0, 1, 2, 3), dom.shape((0, 1, 2, 3))
+    assert len(_FitPlan(comp, shape, measurements, tree=True).cliques) == 3
+    init = fork(3, "non-markov").normal(0, 1, size=shape)
+    total = estimate_total(measurements)
+    want_p, want_trace = reference_fit(comp, shape, measurements, total, 50, 1e-6, init)
+    got, got_trace = _fit_component(comp, shape, measurements, total, 50, 1e-6, init.copy())
+    assert got.cliques == [comp]
+    assert len(got_trace) == len(want_trace)
+    np.testing.assert_allclose(got.table(), want_p, rtol=1e-10, atol=0)
+
+
+def test_tree_component_answers_like_its_full_table():
+    dom, measurements = _tree_case(5, CHAIN, [12] * 4 + [3])
+    model = fit(measurements, dom, iterations=60)
+    assert [len(model.trees[c].cliques) for c in model.components] == [3, 1]
+    full = ModelState(dom, model.total, model.measured_components, dict(model.tables))
+    assert [len(full.trees[c].cliques) for c in full.components] == [1, 1]
+    # inside one clique, across two and across all, and with the other component
+    for attrs in [(1, 2), (0,), (0, 2), (0, 3), (1, 3, 4), (0, 1, 2, 3)]:
+        q = MarginalQuery.make(dom, attrs)
+        np.testing.assert_allclose(model.marginal_counts(q), full.marginal_counts(q), rtol=1e-12, atol=0)
+    holdout = DiscreteDataset(dom, fork(5, "holdout").integers(0, dom.cardinalities, size=(300, 5)))
+    assert model.nll(holdout) == full.nll(holdout)
+    np.testing.assert_array_equal(model.sample(500, fork(5, "s")).rows, full.sample(500, fork(5, "s")).rows)
+    # signature reuse rescales the tree
+    again = fit(measurements, dom, iterations=60, total=2 * model.total, warm_start=model)
+    q = MarginalQuery.make(dom, (0, 3))
+    np.testing.assert_allclose(again.marginal_counts(q), 2 * model.marginal_counts(q), rtol=1e-12)
+    assert len(again.trees[(0, 1, 2, 3)].cliques) == 3
+
+
+def test_fit_plan_splits_a_benchmark_component_into_two_cliques():
+    # a 32,768-cell fed-trend component whose measured sets triangulate into
+    # two 4,096-cell cliques
+    from fedsynth.model import _FitPlan
+
+    dom = domain([8] * 8)
+    comp = (0, 1, 3, 5, 7)
+    rng = fork(1, "benchmark-tree")
+    sets = [(0, 3, 5), (1, 3, 5), (0, 1), (0, 5), (0, 7), (1, 3), (1, 5), (3, 5), (3, 7), (5, 7)]
+    measurements = [meas(dom, s, rng.normal(50, 5, dom.size(s))) for s in sets]
+    measurements += [meas(dom, (a,), rng.normal(400, 5, 8)) for a in comp]
+    shape = dom.shape(comp)
+    plan = _FitPlan(comp, shape, measurements, tree=True)
+    assert [tuple(comp[a] for a in c) for c in plan.cliques] == [(0, 1, 3, 5), (0, 3, 5, 7)]
+    assert [int(np.prod(s)) for s in plan.clique_shapes] == [4096, 4096]
+    # node marginals from the clique marginals of a full table, and the
+    # gradient broadcast back over the cliques, match direct full-table sums
+    p = rng.uniform(0, 1, size=shape)
+    full = list(range(len(comp)))
+    beliefs = np.empty(plan.clique_size)
+    for view, clique in zip(plan.clique_views(beliefs), plan.cliques):
+        view[...] = np.einsum(p, full, list(clique))
+    flat = np.empty(plan.size)
+    views = plan.views(flat)
+    plan.marginals(plan.clique_views(beliefs), views)
+    for view, (_, keep) in zip(views, plan.reductions):
+        drop = tuple(i for i in full if i not in keep)
+        np.testing.assert_allclose(view, p.sum(axis=drop), rtol=1e-12, atol=0)
+    residual = np.empty(plan.size)
+    residual[plan.measured_cells] = rng.normal(0, 1, size=plan.y.size)
+    residuals = plan.views(residual)
+    want = np.zeros(shape)
+    for i, (_, keep) in enumerate(plan.reductions):
+        if i not in plan.intermediates:
+            want = want + np.expand_dims(residuals[i], tuple(a for a in full if a not in keep))
+    grads = np.empty(plan.clique_size)
+    plan.gradient(residuals, plan.clique_views(grads))
+    got = sum(g.reshape(s) for g, s in zip(plan.clique_views(grads), plan.full_shapes))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_calibration_keeps_a_separator_slice_far_below_its_clique_maximum():
+    # one value of the leaf's separator sits 1,000 nats below the rest of
+    # the leaf, and its neighbour clique lifts it back, so the full table
+    # holds real mass there; one shift per clique would underflow that slice
+    from fedsynth.model import _FitPlan
+
+    dom, measurements = _tree_case(4, CHAIN, [12] * 4)
+    comp, shape = (0, 1, 2, 3), dom.shape((0, 1, 2, 3))
+    plan = _FitPlan(comp, shape, measurements, tree=True)
+    assert plan.cliques == [(0, 1), (1, 2), (2, 3)] and plan.clique_parents == [None, 0, 1]
+    rng = fork(4, "far-slice")
+    theta = rng.normal(0, 1, size=plan.clique_size)
+    thetas = plan.clique_views(theta)
+    thetas[2][0, :] -= 1000.0
+    thetas[1][:, 0] += 1000.0
+    full = sum(t.reshape(s) for t, s in zip(thetas, plan.full_shapes))
+    want = np.exp(full - full.max())
+    want *= 500.0 / want.sum()
+    beliefs = plan.clique_views(np.empty(plan.clique_size))
+    plan.calibrate(thetas, 500.0, beliefs)
+    for belief, clique in zip(beliefs, plan.cliques):
+        np.testing.assert_allclose(belief, np.einsum(want, list(comp), list(clique)), rtol=1e-12, atol=0)
+    assert beliefs[2][0].sum() > 1.0
