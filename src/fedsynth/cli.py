@@ -216,16 +216,20 @@ BOOTSTRAP_RESAMPLES = 2000
 
 def _successful_rows(directory: str) -> dict[tuple[str, str, str], dict]:
     """Successful result rows of every results.csv under ``directory``,
-    keyed by (config hash, method, seed)."""
+    keyed by (config hash, method, seed); a key found twice is refused."""
     paths = sorted(glob.glob(os.path.join(directory, "**", "results.csv"), recursive=True))
     if not paths:
         raise ConfigError(f"no results.csv under {directory}")
-    return {
-        (row["config_hash"], row["method"], row["seed"]): row
-        for path in paths
-        for row in harness.read_results_csv(path)
-        if not str(row.get("status", "ok")).startswith("failed")
-    }
+    rows, sources = {}, {}
+    for path in paths:
+        for row in harness.read_results_csv(path):
+            if str(row.get("status", "ok")).startswith("failed"):
+                continue
+            key = (row["config_hash"], row["method"], row["seed"])
+            if key in rows:
+                raise ConfigError(f"run {key} is in both {sources[key]} and {path}")
+            rows[key], sources[key] = row, path
+    return rows
 
 
 def _bootstrap_interval(deltas: np.ndarray) -> tuple[float, float]:

@@ -12,7 +12,9 @@ component is a graphical model over its measured sets.  A component whose
 junction tree (min-fill triangulation of the measured sets) holds fewer
 cells than its full table, by more than an allowance for each extra
 clique's array calls, is fitted and kept as calibrated clique and separator
-tables; any other component is one clique, its full joint table.
+tables; any other component is one clique, its full joint table.  A refit
+starts from the previous model's clique marginals, projected onto the new
+cliques: the previous model itself when measurements only grow.
 Components small enough for this treatment are enforced upstream by
 model-size filtering, which still counts full-table bytes; attributes never
 measured stay as uniform singleton factors so the model always covers the
@@ -43,8 +45,6 @@ _LOG_FLOOR = np.finfo(np.float64).smallest_subnormal
 # spends per trial on about this many cells, so a tree must save more than
 # that per extra clique
 _CLIQUE_CELLS = 4096
-# relative per-cell agreement a warm start's clique split must reach
-_SPLIT_RTOL = 1e-9
 # smallest separator sum a calibration accepts from one shift per clique: its
 # cells keep full precision, and what underflows below them is under 1e-100
 # of the mass
@@ -170,13 +170,12 @@ class _FitPlan:
     """How one component fit calibrates, reduces marginals and assembles
     gradients.
 
-    The component's logits live on *cliques*: one clique of all axes (the
-    full table), or, when ``tree`` asks for it and it saves work, the
-    cliques of the measured sets' junction tree.  A clique tree is kept only
-    when its clique and separator cells, plus ``_CLIQUE_CELLS`` for each
-    clique after the first, are fewer than the full table's.  Each measured
-    set (repeats merged) is fitted in the clique with fewest cells that
-    holds it.
+    The component's logits live on *cliques*: the cliques of the measured
+    sets' junction tree when that saves work, else one clique of all axes
+    (the full table).  A clique tree is kept only when its clique and
+    separator cells, plus ``_CLIQUE_CELLS`` for each clique after the first,
+    are fewer than the full table's.  Each measured set (repeats merged) is
+    fitted in the clique with fewest cells that holds it.
 
     Within each clique the plan's nodes are its measured sets plus
     *intermediates*.  In a clique of k axes, a root is a measured set of the
@@ -201,8 +200,7 @@ class _FitPlan:
     into another flat vector of ``clique_size`` cells.
     """
 
-    def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], measurements: list[Measurement],
-                 tree: bool = False):
+    def __init__(self, comp: tuple[int, ...], shape: tuple[int, ...], measurements: list[Measurement]):
         k = len(comp)
         comp_pos = {a: i for i, a in enumerate(comp)}
         measured = {tuple(comp_pos[a] for a in m.query.attrs): m for m in _merge_same_query(measurements)}
@@ -212,7 +210,7 @@ class _FitPlan:
 
         self.cliques: list[tuple[int, ...]] = [tuple(range(k))]
         self.clique_parents: list[int | None] = [None]
-        if tree and cells(range(k)) > _CLIQUE_CELLS:
+        if cells(range(k)) > _CLIQUE_CELLS:
             cliques, parents = _junction_tree(list(measured), shape)
             tree_cells = sum(map(cells, cliques)) + sum(
                 cells(set(c) & set(cliques[p])) for c, p in zip(cliques[1:], parents[1:])
@@ -277,11 +275,9 @@ class _FitPlan:
         self.alpha = np.concatenate([np.full(m.query.cardinality, m.weight) for m in ordered])
 
         # clique tables, and each clique's separator with its parent
-        self.shape = shape
         self.clique_shapes = [tuple(shape[a] for a in clique) for clique in self.cliques]
         self.clique_offsets = list(accumulate((cells(c) for c in self.cliques), initial=0))
         self.clique_size = self.clique_offsets[-1]
-        self.full_shapes = [tuple(n if a in clique else 1 for a, n in enumerate(shape)) for clique in self.cliques]
         # per non-root clique: einsum sublists reducing its parent, and the
         # clique itself, to the separator, and the separator's shape on its
         # own, inside the clique (ones on the other axes) and inside the parent
@@ -313,9 +309,7 @@ class _FitPlan:
         ]
 
     def clique_views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each clique's table in ``flat`` (``clique_size`` cells, or the full
-        table of a one-clique plan), shaped."""
-        flat = flat.reshape(-1)
+        """Each clique's table in the flat vector ``flat``, shaped."""
         return [
             flat[start:stop].reshape(clique_shape)
             for start, stop, clique_shape in zip(self.clique_offsets, self.clique_offsets[1:], self.clique_shapes)
@@ -410,37 +404,26 @@ class _FitPlan:
                 for r in up[2:]:
                     grad += r
 
-    def split(self, init_logits: np.ndarray, total: float) -> np.ndarray | None:
-        """Flat clique logits that reproduce the full-table logits
-        ``init_logits``, or ``None`` when the distribution they give is not
-        Markov on the tree (to ``_SPLIT_RTOL`` per cell).
-
-        Each clique takes the log of its marginal, less the log of its
-        separator's, so the clique tables multiply back to the distribution
-        exactly when it factorizes over the tree.
-        """
-        theta = init_logits.astype(np.float64)
-        if len(self.cliques) == 1:
-            return theta.reshape(-1)
-        table = np.empty(self.shape)
-        _softmax_mass(theta, total, table)
-        full = list(range(len(self.shape)))
-        margins = [np.einsum(table, full, list(clique)) for clique in self.cliques]
-        split = np.empty(self.clique_size)
-        rebuilt = theta  # reused: the clique logits summed over the full table
-        for c, psi in enumerate(self.clique_views(split)):
-            np.log(np.maximum(margins[c], _LOG_FLOOR), out=psi)
-            if c:
-                margin = np.einsum(margins[self.clique_parents[c]], *self.sep_reductions[c])
-                psi -= np.log(np.maximum(margin, _LOG_FLOOR)).reshape(self.sep_in_clique[c])
-                rebuilt += psi.reshape(self.full_shapes[c])
-            else:
-                np.copyto(rebuilt, psi.reshape(self.full_shapes[c]))
-        _softmax_mass(rebuilt, total, rebuilt)
-        rebuilt -= table
-        np.abs(rebuilt, out=rebuilt)
-        table *= _SPLIT_RTOL
-        return split if (rebuilt <= table).all() else None
+    def start(self, comp: tuple[int, ...], previous: ModelState | None) -> np.ndarray:
+        """Flat clique logits a fit starts from: zero, or ``previous``
+        projected onto the plan's cliques.  Each measured component ``old`` of
+        ``previous`` inside ``comp`` adds ``log mu(C & old) - log mu(S & old)``
+        to each clique C with separator S, ``mu`` being ``old``'s marginal, so
+        the cliques multiply to prod mu_C / prod mu_S: ``previous`` itself
+        whenever the sets it was measured on are among this plan's."""
+        theta = np.zeros(self.clique_size)
+        for old in previous.measured_components if previous is not None else ():
+            if not set(old) <= set(comp):
+                continue
+            for c, psi in enumerate(self.clique_views(theta)):
+                inside = [a for a in self.cliques[c] if comp[a] in old]
+                sep = [a for a in inside if c and a in self.cliques[self.clique_parents[c]]]
+                for axes, sign in ((inside, 1.0), (sep, -1.0)):
+                    if axes:
+                        mu = previous.trees[old].marginal(tuple(comp[a] for a in axes))
+                        expand = tuple(n if a in axes else 1 for a, n in zip(self.cliques[c], psi.shape))
+                        psi += sign * np.log(np.maximum(mu, _LOG_FLOOR)).reshape(expand)
+        return theta
 
     def tree(self, comp: tuple[int, ...], beliefs: list[np.ndarray]) -> "_CliqueTree":
         """The calibrated clique tables ``beliefs`` as a component's tree."""
@@ -482,22 +465,15 @@ def _fit_component(
     total: float,
     iterations: int,
     tolerance: float,
-    init_logits: np.ndarray | None,
+    previous: ModelState | None,
 ) -> tuple["_CliqueTree", list[float]]:
     """Fit one component; returns its calibrated tree and objective trace.
 
-    ``init_logits`` are full-table logits.  On a clique tree they are split
-    into clique logits; logits that do not factorize over the tree fit the
-    component as one clique.
+    The fit starts uniform, or from ``previous`` projected onto the plan's
+    cliques (``_FitPlan.start``).
     """
-    plan = _FitPlan(comp, shape, measurements, tree=True)
-    if init_logits is None:
-        theta = np.zeros(plan.clique_size)
-    else:
-        theta = plan.split(init_logits, total)
-        if theta is None:  # the warm start does not factorize over the tree
-            plan = _FitPlan(comp, shape, measurements)
-            theta = plan.split(init_logits, total)
+    plan = _FitPlan(comp, shape, measurements)
+    theta = plan.start(comp, previous)
     theta_new, grad = np.empty(plan.clique_size), np.empty(plan.clique_size)
     thetas, thetas_new, grads = map(plan.clique_views, (theta, theta_new, grad))
     # clique tables of the accepted point and of the trial point
@@ -710,8 +686,7 @@ class ModelState:
 
     @property
     def logits(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        """``log(table)`` of each measured component, built on access; softmax
-        is shift-invariant, so these seed a fit like the fitted logits."""
+        """``log(table)`` of each measured component, built on access."""
         return _ComponentMap(
             self.measured_components, lambda c: np.log(np.maximum(self.trees[c].table(), _LOG_FLOOR))
         )
@@ -802,9 +777,11 @@ def fit(
 ) -> ModelState:
     """Fit a ModelState to the measurement list (deterministic).
 
-    ``warm_start`` seeds each component from a previous fit's tables;
-    merged components start from the product of their parts.  Defaults start
-    every component uniform.
+    ``warm_start`` starts each component at the previous model's clique
+    marginals projected onto the component's cliques (merged components at
+    the product of their parts): the previous model itself whenever its
+    measurements are among these, as in every protocol's refits.  Defaults
+    start every component uniform.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -838,9 +815,8 @@ def fit(
             trees[comp] = warm_start.trees[comp].scaled(total / warm_start.total)
             traces[comp] = warm_start.meta["objective_traces"][comp][-1:]
             continue
-        init = _warm_logits(comp, shape, warm_start) if warm_start is not None else None
         trees[comp], traces[comp] = _fit_component(
-            comp, shape, local, total, iterations, tolerance, init
+            comp, shape, local, total, iterations, tolerance, warm_start
         )
     meta = {
         "objective_traces": traces,
@@ -849,22 +825,3 @@ def fit(
     }
     return ModelState(domain, total, comps, trees, meta)
 
-
-def _warm_logits(
-    comp: tuple[int, ...], shape: tuple[int, ...], previous: ModelState
-) -> np.ndarray | None:
-    """Initial logits for a component from an earlier model.
-
-    Any previous measured component fully inside the new one contributes its
-    logits, ``log(table)``, broadcast over the missing axes, which initializes
-    the merged component at the product of its parts.
-    """
-    theta = None
-    for old in previous.measured_components:
-        if not set(old) <= set(comp):
-            continue
-        if theta is None:
-            theta = np.zeros(shape)
-        expand = tuple(n if a in old else 1 for a, n in zip(comp, shape))
-        theta += np.log(np.maximum(previous.tables[old], _LOG_FLOOR)).reshape(expand)
-    return theta

@@ -265,3 +265,13 @@ def test_compare_exits_one_when_nothing_pairs(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "no (config_hash, method, seed) row pairs" in capsys.readouterr().err
     assert main(["compare", str(tmp_path / "a"), str(tmp_path / "missing")]) == 1
+
+
+def test_compare_refuses_a_run_found_twice(tmp_path, capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    _write_results(before / "a", [("c1", "aim", 0, 0.5, 1.0)])
+    _write_results(before / "b", [("c1", "aim", 0, 0.9, 1.0)])
+    _write_results(after, [("c1", "aim", 0, 0.7, 1.0)])
+    assert main(["compare", str(before), str(after)]) == 1
+    err = capsys.readouterr().err
+    assert str(before / "a" / "results.csv") in err and str(before / "b" / "results.csv") in err

@@ -449,7 +449,7 @@ def _check_plan_against_direct_reduction(plan, comp, shape, rng):
     p = rng.uniform(0, 1, size=shape)
     flat = np.empty(plan.size)
     views = plan.views(flat)
-    plan.marginals(plan.clique_views(p), views)
+    plan.marginals(plan.clique_views(p.reshape(-1)), views)
     drops = [tuple(i for i in range(len(comp)) if i not in keep) for _, keep in plan.reductions]
     for marginal, drop in zip(views, drops):
         np.testing.assert_allclose(marginal, p.sum(axis=drop), rtol=1e-12, atol=0)
@@ -463,7 +463,7 @@ def _check_plan_against_direct_reduction(plan, comp, shape, rng):
         if i not in plan.intermediates:
             want = want + np.expand_dims(residuals[i], drop)
     got = np.empty(shape)
-    plan.gradient(residuals, plan.clique_views(got))
+    plan.gradient(residuals, plan.clique_views(got.reshape(-1)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -514,7 +514,7 @@ def test_fit_plan_reduces_a_benchmark_component_from_three_nodes():
     _check_plan_against_direct_reduction(plan, comp, dom.shape(comp), rng)
     # every pair of its attributes is measured together, so its junction tree
     # is the full table itself
-    assert _FitPlan(comp, dom.shape(comp), measurements, tree=True).cliques == [tuple(range(5))]
+    assert plan.cliques == [tuple(range(5))]
 
 
 def reference_fit(comp, shape, measurements, total, iterations, tolerance, init):
@@ -579,11 +579,14 @@ def test_fit_component_matches_direct_reduction_reference(seed):
         for m in measurements
     ]
     total = estimate_total(measurements)
-    init = rng.normal(0, 1, size=shape) if seed % 4 < 2 else None
+    previous = init = None
+    if seed % 4 < 2:  # warm-started from a random full table
+        table = np.exp(rng.normal(0, 1, size=shape))
+        previous = ModelState(dom, total, [comp], {comp: table * (total / table.sum())})
+        init = np.log(previous.tables[comp])
     tolerance = 1e-4 if seed < 6 else 1e-5
     want_p, want_trace = reference_fit(comp, shape, measurements, total, 300, tolerance, init)
-    got, got_trace = _fit_component(comp, shape, measurements, total, 300, tolerance,
-                                    None if init is None else init.copy())
+    got, got_trace = _fit_component(comp, shape, measurements, total, 300, tolerance, previous)
     got_p = got.table()
     assert len(got_trace) == len(want_trace)
     np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
@@ -591,8 +594,6 @@ def test_fit_component_matches_direct_reduction_reference(seed):
 
 
 def test_warm_start_from_tables_matches_stored_logits():
-    from fedsynth.model import _fit_component
-
     dom = domain([3, 2, 4, 2])
     rng = fork(12, "warm")
     total = 250.0
@@ -613,8 +614,9 @@ def test_warm_start_from_tables_matches_stored_logits():
     # decides when the line search gives up
     model = fit(measurements, dom, iterations=20, tolerance=0.0, total=total, warm_start=previous)
     init = theta_a[:, :, None, None] + theta_b[None, None, :, :]
-    want = _fit_component((0, 1, 2, 3), (3, 2, 4, 2), measurements, total, 20, 0.0, init)[0].table()
-    np.testing.assert_allclose(model.tables[(0, 1, 2, 3)], want, rtol=1e-10, atol=0)
+    want_p, want_trace = reference_fit((0, 1, 2, 3), (3, 2, 4, 2), measurements, total, 20, 0.0, init)
+    assert len(model.meta["objective_traces"][(0, 1, 2, 3)]) == len(want_trace)
+    np.testing.assert_allclose(model.tables[(0, 1, 2, 3)], want_p, rtol=1e-10, atol=0)
 
 
 def test_logits_derived_from_tables():
@@ -741,38 +743,59 @@ def test_tree_fit_matches_reference_cold(sets, cards, n_cliques, seed):
     (STAR, [12] * 4, [[(0, 1), (1,)], [(2,)], [(0, 3), (3,)]]),
     (CYCLE, [12] * 4, [[(0, 1), (1, 2), (0,), (2,)], [(3,)]]),
     (FIVE_CYCLE, [8] * 5, [[(0, 1), (1, 2), (0, 2)], [(3, 4)]]),
+    # the earlier part is itself a three-clique tree, read across its cliques
+    (CHAIN + [(3, 4), (4,)], [12] * 5, [CHAIN]),
 ])
 def test_tree_fit_matches_reference_warm_started_from_fitted_parts(sets, cards, parts):
-    """Warm starts are products of earlier fitted components, which factor
-    over the tree, so the fit stays on it."""
-    from fedsynth.model import _fit_component, _warm_logits
+    """Warm starts are products of earlier fitted components, whose measured
+    sets are among the new fit's, so the projection onto the tree is the
+    earlier model itself and the fit stays on the tree."""
+    from fedsynth.model import _fit_component
 
     dom, measurements = _tree_case(7, sets + [a for part in parts for a in part], cards)
     by_attrs = {m.query.attrs: m for m in measurements}
     total = estimate_total(measurements)
     previous = fit([by_attrs[a] for part in parts for a in part], dom, iterations=40, total=total)
     comp, shape = tuple(range(len(cards))), dom.shape(range(len(cards)))
-    init = _warm_logits(comp, shape, previous)
+    init = np.zeros(shape)
+    for old in previous.measured_components:
+        init = init + np.log(previous.tables[old]).reshape(tuple(n if a in old else 1 for a, n in zip(comp, shape)))
     want_p, want_trace = reference_fit(comp, shape, measurements, total, 100, 1e-6, init)
-    got, got_trace = _fit_component(comp, shape, measurements, total, 100, 1e-6, init.copy())
+    got, got_trace = _fit_component(comp, shape, measurements, total, 100, 1e-6, previous)
     assert len(got.cliques) > 1
+    assert got_trace[0] == pytest.approx(model_objective(model_module._merge_same_query(measurements), previous),
+                                         rel=1e-12, abs=0)
     assert len(got_trace) == len(want_trace)
     np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
     np.testing.assert_allclose(got.table(), want_p, rtol=1e-10, atol=0)
 
 
-def test_non_markov_warm_start_fits_one_clique():
-    from fedsynth.model import _FitPlan, _fit_component
+def test_warm_start_is_the_previous_models_projection_onto_the_tree():
+    """A previous model measured on a set the new fit does not measure is
+    not Markov on the new tree: the fit stays on the tree and starts from
+    the projection prod mu_C / prod mu_S of the previous model's clique and
+    separator marginals."""
+    from fedsynth.model import _fit_component
 
-    dom, measurements = _tree_case(3, CHAIN, [12] * 4)
+    dom, measurements = _tree_case(3, CHAIN + [(0, 2)], [12] * 4)
+    chain, (pair,) = measurements[:-1], measurements[-1:]
     comp, shape = (0, 1, 2, 3), dom.shape((0, 1, 2, 3))
-    assert len(_FitPlan(comp, shape, measurements, tree=True).cliques) == 3
-    init = fork(3, "non-markov").normal(0, 1, size=shape)
-    total = estimate_total(measurements)
-    want_p, want_trace = reference_fit(comp, shape, measurements, total, 50, 1e-6, init)
-    got, got_trace = _fit_component(comp, shape, measurements, total, 50, 1e-6, init.copy())
-    assert got.cliques == [comp]
+    total = estimate_total(chain)
+    previous = fit([pair], dom, iterations=40, total=total)
+    full = previous.marginal_counts(MarginalQuery.make(dom, comp)).reshape(shape)
+
+    def marginal(axes):
+        return np.einsum(full, list(comp), list(axes)).reshape(tuple(n if a in axes else 1 for a, n in enumerate(shape)))
+
+    projection = marginal((0, 1)) * marginal((1, 2)) * marginal((2, 3)) / (marginal((1,)) * marginal((2,)))
+    projection *= total / projection.sum()
+    assert not np.allclose(projection, full, rtol=1e-3, atol=0)
+    want_p, want_trace = reference_fit(comp, shape, chain, total, 50, 1e-6, np.log(projection))
+    got, got_trace = _fit_component(comp, shape, chain, total, 50, 1e-6, previous)
+    assert got.cliques == [(0, 1), (1, 2), (2, 3)]
+    assert got_trace[0] == pytest.approx(objective_value(chain, dom, projection.reshape(-1)), rel=1e-12, abs=0)
     assert len(got_trace) == len(want_trace)
+    np.testing.assert_allclose(got_trace, want_trace, rtol=1e-10, atol=0)
     np.testing.assert_allclose(got.table(), want_p, rtol=1e-10, atol=0)
 
 
@@ -796,6 +819,11 @@ def test_tree_component_answers_like_its_full_table():
     assert len(again.trees[(0, 1, 2, 3)].cliques) == 3
 
 
+def _full_shapes(plan, shape):
+    """Each clique's shape inside the full table (ones on the other axes)."""
+    return [tuple(n if a in clique else 1 for a, n in enumerate(shape)) for clique in plan.cliques]
+
+
 def test_fit_plan_splits_a_benchmark_component_into_two_cliques():
     # a 32,768-cell fed-trend component whose measured sets triangulate into
     # two 4,096-cell cliques
@@ -808,7 +836,7 @@ def test_fit_plan_splits_a_benchmark_component_into_two_cliques():
     measurements = [meas(dom, s, rng.normal(50, 5, dom.size(s))) for s in sets]
     measurements += [meas(dom, (a,), rng.normal(400, 5, 8)) for a in comp]
     shape = dom.shape(comp)
-    plan = _FitPlan(comp, shape, measurements, tree=True)
+    plan = _FitPlan(comp, shape, measurements)
     assert [tuple(comp[a] for a in c) for c in plan.cliques] == [(0, 1, 3, 5), (0, 3, 5, 7)]
     assert [int(np.prod(s)) for s in plan.clique_shapes] == [4096, 4096]
     # node marginals from the clique marginals of a full table, and the
@@ -833,7 +861,7 @@ def test_fit_plan_splits_a_benchmark_component_into_two_cliques():
             want = want + np.expand_dims(residuals[i], tuple(a for a in full if a not in keep))
     grads = np.empty(plan.clique_size)
     plan.gradient(residuals, plan.clique_views(grads))
-    got = sum(g.reshape(s) for g, s in zip(plan.clique_views(grads), plan.full_shapes))
+    got = sum(g.reshape(s) for g, s in zip(plan.clique_views(grads), _full_shapes(plan, shape)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -845,14 +873,14 @@ def test_calibration_keeps_a_separator_slice_far_below_its_clique_maximum():
 
     dom, measurements = _tree_case(4, CHAIN, [12] * 4)
     comp, shape = (0, 1, 2, 3), dom.shape((0, 1, 2, 3))
-    plan = _FitPlan(comp, shape, measurements, tree=True)
+    plan = _FitPlan(comp, shape, measurements)
     assert plan.cliques == [(0, 1), (1, 2), (2, 3)] and plan.clique_parents == [None, 0, 1]
     rng = fork(4, "far-slice")
     theta = rng.normal(0, 1, size=plan.clique_size)
     thetas = plan.clique_views(theta)
     thetas[2][0, :] -= 1000.0
     thetas[1][:, 0] += 1000.0
-    full = sum(t.reshape(s) for t, s in zip(thetas, plan.full_shapes))
+    full = sum(t.reshape(s) for t, s in zip(thetas, _full_shapes(plan, shape)))
     want = np.exp(full - full.max())
     want *= 500.0 / want.sum()
     beliefs = plan.clique_views(np.empty(plan.clique_size))

@@ -21,7 +21,7 @@ import fedsynth
 PACKAGE = pathlib.Path(fedsynth.__file__).parent
 
 KEPT = {
-    "privacy.gaussian_mechanism.sensitivity": "the neighbouring-relation work (ROADMAP item 1) scales noise with it",
+    "privacy.gaussian_mechanism.sensitivity": "the neighbouring-relation work (ROADMAP item 3) scales noise with it",
     "cli.main.argv": "the tests drive the CLI through it",
     "secagg.share.parties": "the tests' reference for secret sharing",
     "secagg.share.ledger": "the tests' reference for secret sharing",
